@@ -14,10 +14,11 @@ non-zero on a performance regression: the compiled engine must beat the
 interpreted one at every size, the batched engine (at its widest
 benchmarked batch) must beat compiled at the largest size, the stepped
 engine's tabulated refresh must hold >= 1.5x over batched at n=10 /
-batch 256, and one cross-point tensorized run must hold >= 1.5x over
-per-point stepped loops on the figure-shaped sweeps (the CI bench-smoke
-gates).  All engines replay the same seeds, so the ``events`` columns
-double as an equivalence check.
+batch 256, one cross-point tensorized run must hold >= 1.5x over
+per-point stepped loops on the figure-shaped sweeps, and a single
+stepped ``run()`` must stay within 1.25x of a compiled one (the CI
+bench-smoke gates).  All engines replay the same seeds, so the
+``events`` columns double as an equivalence check.
 """
 
 import argparse
@@ -408,6 +409,71 @@ def _render_sweep_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def compare_single(
+    n: int = 10,
+    replications: int = 64,
+    horizon: float = 2.0,
+    repeats: int = 3,
+) -> dict:
+    """Run-of-one cost: compiled ``run()`` against stepped ``run()``.
+
+    The serial sequential-stopping path of ``measures.unsafety`` calls
+    ``run()`` once per replication on the default (stepped) engine,
+    which hands it to its per-row compiled delegate; this row checks
+    that the hand-off keeps single replications at compiled speed.
+    The configuration (DD, λ = 1e-2, the unsafe stop predicate) is the
+    sequential-stopping one, so rows absorb as they would there.  Both
+    engines replay identical streams, so the event counts must match.
+    """
+    ahs = build_composed_model(
+        AHSParameters(max_platoon_size=n, base_failure_rate=1e-2)
+    )
+    predicate = ahs.unsafe_predicate()
+    seconds: dict = {}
+    events: dict = {}
+    for engine in ("compiled", "stepped"):
+        simulator = make_jump_engine(ahs.model, engine=engine)
+        simulator.run(StreamFactory(2024).stream("warmup"), horizon, predicate)
+        best = float("inf")
+        for _ in range(max(1, repeats)):
+            streams = StreamFactory(2024).stream_batch("single", replications)
+            started = time.perf_counter()
+            fired = sum(
+                simulator.run(stream, horizon, predicate).firings
+                for stream in streams
+            )
+            best = min(best, time.perf_counter() - started)
+        seconds[engine] = best
+        events[engine] = fired
+    if events["compiled"] != events["stepped"]:
+        raise AssertionError(
+            f"run-of-one: engines disagree on event counts "
+            f"(compiled {events['compiled']} vs stepped {events['stepped']})"
+        )
+    return {
+        "max_platoon_size": n,
+        "base_failure_rate": 1e-2,
+        "horizon": horizon,
+        "replications": replications,
+        "events": int(events["compiled"]),
+        "compiled_ms_per_run": 1e3 * seconds["compiled"] / replications,
+        "stepped_ms_per_run": 1e3 * seconds["stepped"] / replications,
+        "stepped_over_compiled": seconds["stepped"] / seconds["compiled"],
+    }
+
+
+def _render_single(row: dict) -> str:
+    return (
+        "run-of-one n={n}: compiled {comp:.2f} ms/run, stepped "
+        "{step:.2f} ms/run ({ratio:.2f}x compiled)".format(
+            n=row["max_platoon_size"],
+            comp=row["compiled_ms_per_run"],
+            step=row["stepped_ms_per_run"],
+            ratio=row["stepped_over_compiled"],
+        )
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Compare the interpreted and compiled SAN jump engines."
@@ -457,6 +523,9 @@ def main(argv=None) -> int:
     sweep_rows = compare_sweep(repeats=2 if args.smoke else 3)
     print()
     print(_render_sweep_table(sweep_rows))
+    single = compare_single(replications=32 if args.smoke else 64)
+    print()
+    print(_render_single(single))
     record = {
         "benchmark": "san-jump-engines",
         "replications": max(replications, max(batch_sizes)),
@@ -464,6 +533,7 @@ def main(argv=None) -> int:
         "batch_sizes": list(batch_sizes),
         "rows": rows,
         "sweeps": sweep_rows,
+        "single": single,
     }
     with open(args.json, "w") as handle:
         json.dump(record, handle, indent=2)
@@ -522,6 +592,15 @@ def main(argv=None) -> int:
                 f"({row['tensorized_speedup']:.2f}x)"
             )
             failed = True
+    # regression gate for single replications on the default engine:
+    # stepped run() goes to its compiled delegate, so it must stay
+    # within 1.25x of compiled run() (a batch of one is ~7x slower)
+    if single["stepped_over_compiled"] > 1.25:
+        print(
+            "FAIL: stepped run() above the 1.25x gate over compiled run() "
+            f"({single['stepped_over_compiled']:.2f}x)"
+        )
+        failed = True
     return 1 if failed else 0
 
 

@@ -47,7 +47,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.san.compiled import ENGINES
+from repro.san.compiled import DEFAULT_ENGINE, ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -172,18 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
     uns.add_argument("--seed", type=int, default=None)
     uns.add_argument(
         "--engine",
-        default="compiled",
+        default=DEFAULT_ENGINE,
         choices=list(ENGINES),
         help="jump-chain executor for the simulation methods "
-        "(seed-identical results; compiled is several times faster; "
-        "batched advances replications in NumPy lockstep)",
+        "(seed-identical results; the default stepped engine advances "
+        "replications in NumPy lockstep; splitting always runs compiled)",
     )
     uns.add_argument(
         "--batch-size",
         type=int,
         default=256,
-        help="lockstep width for --engine batched (throughput knob only; "
-        "results are bit-identical at any width)",
+        help="lockstep width for the stepped and batched engines "
+        "(throughput knob only; results are bit-identical at any width)",
     )
     uns.add_argument(
         "--metrics",
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orch.add_argument(
         "--engine",
-        default="compiled",
+        default=DEFAULT_ENGINE,
         choices=list(ENGINES),
         help="jump-chain executor for the simulation-backed estimators",
     )
@@ -281,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tensorize",
         action="store_true",
         help="stack every stepped-engine point of a round into one "
-        "cross-point SoA tensor per pool task (requires --engine stepped; "
-        "byte-identical estimates, one vectorised step loop per round)",
+        "cross-point SoA tensor per pool task (requires the stepped engine, "
+        "the default; byte-identical estimates, one vectorised step loop "
+        "per round)",
     )
     orch.add_argument(
         "--cost-model",
@@ -421,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("--replications", type=int, default=100)
     trc.add_argument("--seed", type=int, default=None)
     trc.add_argument(
-        "--engine", default="compiled", choices=list(ENGINES)
+        "--engine", default=DEFAULT_ENGINE, choices=list(ENGINES)
     )
     trc.add_argument(
         "--batch-size",
         type=int,
         default=256,
-        help="lockstep width for --engine batched",
+        help="lockstep width for the stepped and batched engines",
     )
     trc.add_argument(
         "--boost",

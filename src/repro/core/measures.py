@@ -31,7 +31,7 @@ from repro.rare import (
     FixedEffortSplitting,
     ImportanceSamplingEstimator,
 )
-from repro.san.compiled import ENGINES, make_jump_engine
+from repro.san.compiled import DEFAULT_ENGINE, ENGINES, make_jump_engine
 from repro.san.rewards import TransientEstimate
 from repro.stats import ReplicationEstimator, SequentialStoppingRule
 from repro.stochastic import StreamFactory
@@ -59,7 +59,7 @@ def unsafety(
     repetitions: int = 10,
     stopping_rule: Optional[SequentialStoppingRule] = None,
     runner=None,
-    engine: str = "compiled",
+    engine: str = DEFAULT_ENGINE,
     observer=None,
     batch_size: int = 256,
     events=None,
@@ -98,16 +98,19 @@ def unsafety(
         worker count.  Other methods ignore it.
     engine:
         Jump-engine for the simulation-based methods, one of
-        :data:`~repro.san.compiled.ENGINES` (``"compiled"`` by default —
-        same results per seed, several times faster; ``"interpreted"`` is
-        the reference executor, useful when debugging gate code;
-        ``"batched"`` advances a lockstep batch of replications through a
-        NumPy structure-of-arrays kernel, bit-identical per seed at any
-        batch size).  ``analytical`` and ``approx`` ignore it.
+        :data:`~repro.san.compiled.ENGINES`.  All give the same results
+        per seed.  The default, :data:`~repro.san.compiled.
+        DEFAULT_ENGINE` (``"stepped"``), advances a lockstep batch of
+        replications with a whole-loop NumPy kernel and runs single
+        replications (the sequential-stopping path) on its per-row
+        compiled delegate; ``"compiled"`` runs one replication at a
+        time; ``"interpreted"`` is the reference executor, useful when
+        debugging gate code.  Splitting always runs on the compiled
+        engine.  ``analytical`` and ``approx`` ignore it.
     batch_size:
-        Lockstep width for ``engine="batched"`` (ignored by the other
-        engines).  Purely a throughput knob — estimates, draw counts and
-        IS weights are identical at every width.
+        Lockstep width for the ``"stepped"`` and ``"batched"`` engines
+        (ignored by the others).  Purely a throughput knob — estimates,
+        draw counts and IS weights are identical at every width.
     observer:
         Optional observability hook (typically
         :class:`repro.obs.Observation`) for the simulation-based methods.

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.parameters import AHSParameters
 from repro.runtime import workerctx
+from repro.san.compiled import DEFAULT_ENGINE
 
 __all__ = [
     "UnsafetySimulationTask",
@@ -63,11 +64,13 @@ class UnsafetySimulationTask:
     works for importance-sampled variants built on top).
 
     ``engine`` selects the jump executor (see
-    :data:`repro.san.compiled.ENGINES`).  Both engines are seed-identical,
-    so results — and the content-addressed cache entries, which include the
-    engine name — stay reproducible across the switch; the cache token
-    still distinguishes engines so a suspected discrepancy can be bisected
-    without cache pollution.
+    :data:`repro.san.compiled.ENGINES`; the default is
+    :data:`~repro.san.compiled.DEFAULT_ENGINE`, the stepped engine,
+    whose chunks run through :meth:`sample_batch`).  All engines are
+    seed-identical, so results stay reproducible across a switch.  The
+    cache token still carries the engine name, so a suspected
+    discrepancy can be bisected without cache pollution; the price is
+    that chunks cached under one engine miss once under another.
 
     ``metrics`` attaches a per-chunk
     :class:`~repro.obs.metrics.MetricsRecorder` worker-side; the runtime
@@ -79,7 +82,7 @@ class UnsafetySimulationTask:
 
     params: AHSParameters
     times: tuple[float, ...]
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     metrics: bool = False
     metrics_level: str = "full"
     batch_size: int = 256

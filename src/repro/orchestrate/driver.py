@@ -168,7 +168,10 @@ class Orchestrator:
         Chunk size for splitting points (one replication there is a full
         splitting pass, hundreds of trajectories, so chunks are small).
     engine:
-        Jump-engine for the simulation-backed estimators.
+        Jump-engine for the simulation-backed estimators; the literal
+        default equals :data:`~repro.san.compiled.DEFAULT_ENGINE`
+        (splitting points run on the compiled engine whatever is
+        chosen here).
     sweep_batch:
         When True, each round's chunk jobs are dispatched to the pool in
         point-contiguous groups (one pool task per group; see
@@ -220,7 +223,7 @@ class Orchestrator:
         seed: int = DEFAULT_SEED,
         round_chunks: Optional[int] = None,
         splitting_chunk_size: int = 8,
-        engine: str = "compiled",
+        engine: str = "stepped",
         sweep_batch: bool = False,
         tensorize: bool = False,
         cost_model: str = "events",

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.san.compiled import make_jump_engine
+from repro.san.compiled import DEFAULT_ENGINE, make_jump_engine
 from repro.san.marking import Marking
 from repro.san.model import SANModel
 from repro.san.simulator import SimulationRun
@@ -89,15 +89,17 @@ class ImportanceSamplingEstimator:
     biasing:
         The biasing plan; ``None`` degrades to crude Monte Carlo.
     engine:
-        Jump-engine selection (see :data:`repro.san.compiled.ENGINES`);
-        all engines give bit-identical weighted estimates per seed.
+        Jump-engine selection (see :data:`repro.san.compiled.ENGINES`;
+        default :data:`~repro.san.compiled.DEFAULT_ENGINE`); all
+        engines give bit-identical weighted estimates per seed.
     observer:
         Optional observability hook (see :mod:`repro.obs`) attached to
         the underlying engine.  Instrumentation never touches the RNG
         stream, so the likelihood-ratio weights are unchanged by it.
     batch_size:
-        Lockstep width for the ``"batched"`` engine (other engines
-        ignore it); the weights are bit-identical at any width.
+        Lockstep width for the ``"stepped"`` and ``"batched"`` engines
+        (other engines ignore it); the weights are bit-identical at any
+        width.
     """
 
     def __init__(
@@ -105,7 +107,7 @@ class ImportanceSamplingEstimator:
         model: SANModel,
         stop_predicate: Callable[[Marking], bool],
         biasing: Optional[FailureBiasing] = None,
-        engine: str = "compiled",
+        engine: str = DEFAULT_ENGINE,
         observer=None,
         batch_size: int = 256,
     ) -> None:

@@ -62,7 +62,12 @@ class FixedEffortSplitting:
         Fixed effort per stage.
     engine:
         Jump-engine selection (see :data:`repro.san.compiled.ENGINES`);
-        both engines produce bit-identical stage trajectories per seed.
+        all engines produce bit-identical stage trajectories per seed.
+        Splitting only runs path segments, which the batch engines
+        (``"batched"``, ``"stepped"``) hand to a per-row compiled
+        engine anyway, so for them a :class:`~repro.san.compiled.
+        CompiledJumpEngine` is built directly and their lowering pass
+        is skipped.
     """
 
     def __init__(
@@ -81,6 +86,8 @@ class FixedEffortSplitting:
             raise ValueError(f"levels must be strictly increasing, got {levels}")
         if trials_per_stage < 2:
             raise ValueError("trials_per_stage must be >= 2")
+        if engine in ("batched", "stepped"):
+            engine = "compiled"
         self.simulator = make_jump_engine(model, engine=engine, observer=observer)
         self.model = model
         self.level_fn = level_fn

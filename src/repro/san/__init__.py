@@ -27,6 +27,7 @@ from repro.san.model import SANModel
 from repro.san.composition import join, replicate
 from repro.san.simulator import SANSimulator, MarkovJumpSimulator, SimulationRun
 from repro.san.compiled import (
+    DEFAULT_ENGINE,
     ENGINES,
     CompiledJumpEngine,
     CompiledMarking,
@@ -76,6 +77,7 @@ __all__ = [
     "MarkovJumpSimulator",
     "SimulationRun",
     "ENGINES",
+    "DEFAULT_ENGINE",
     "BatchedJumpEngine",
     "SteppedJumpEngine",
     "MultiPointContext",

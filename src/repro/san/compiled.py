@@ -63,6 +63,7 @@ from repro.stochastic.rng import RandomStream
 
 __all__ = [
     "ENGINES",
+    "DEFAULT_ENGINE",
     "CompiledMarking",
     "CompiledModel",
     "CompiledJumpEngine",
@@ -74,6 +75,10 @@ __all__ = [
 
 #: engine names accepted by :func:`make_jump_engine` and the CLI ``--engine``
 ENGINES = ("interpreted", "compiled", "batched", "stepped")
+
+#: engine of every simulation entry point (measures, tasks, importance
+#: sampling, the orchestrator and the CLI); splitting stays on compiled
+DEFAULT_ENGINE = "stepped"
 
 
 class CompiledMarking:

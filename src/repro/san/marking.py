@@ -6,7 +6,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.san.places import Place
 
-__all__ = ["Marking", "GateView", "MarkingFunction"]
+__all__ = ["Marking", "DeferredMarking", "GateView", "MarkingFunction"]
 
 
 class Marking:
@@ -93,9 +93,44 @@ class Marking:
         """Name-keyed snapshot for reports and debugging."""
         return {p.name: v for p, v in self._values.items()}
 
+    def __eq__(self, other: object) -> bool:
+        """Value equality: the same places holding the same values."""
+        if not isinstance(other, Marking):
+            return NotImplemented
+        return self._values == other._values
+
+    #: markings are mutable, so value equality makes them unhashable
+    __hash__ = None  # type: ignore[assignment]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{p.name}={v}" for p, v in self._values.items())
         return f"Marking({inner})"
+
+
+class DeferredMarking(Marking):
+    """A :class:`Marking` whose place-to-value dict is built on first use.
+
+    Batch engines finish hundreds of replications per call, and most
+    callers read only a run's stop time and weight.  This snapshot keeps
+    the shared place order and the finished row's value list (which the
+    engine no longer writes) and builds the dict when something first
+    reads it, through the unset ``_values`` slot.
+    """
+
+    __slots__ = ("_order", "_row")
+
+    def __init__(self, order: list[Place], row: list) -> None:
+        self._order = order
+        self._row = row
+        self.changed = set()
+
+    def __getattr__(self, name: str) -> Any:
+        # only reached while the ``_values`` slot is still unset
+        if name != "_values":
+            raise AttributeError(name)
+        self._values = dict(zip(self._order, self._row))
+        self._order = self._row = None
+        return self._values
 
 
 class GateView:

@@ -49,6 +49,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.san.marking import DeferredMarking
 from repro.san.simulator import SimulationRun, _RewardIntegrator
 from repro.san.stepped import SteppedJumpEngine, _bool_rows
 
@@ -194,6 +195,7 @@ class MultiPointContext:
         max_slots = max(engine.compiled.n_slots for engine in engines)
         max_acts = max(engine._n for engine in engines)
         cursors = [engine._cursor for engine in engines]
+        places_of = [engine.compiled.places for engine in engines]
         insta_reads_of = [
             engine.compiled.insta_reads_mask for engine in engines
         ]
@@ -251,18 +253,19 @@ class MultiPointContext:
 
         def finalize(row: int, end_time: float, stopped: bool,
                      stop_time: float) -> None:
+            # as in SteppedJumpEngine.run_batch: the finished row is
+            # never written again, so its marking snapshot is deferred
             alive_mask[row] = False
             sync(row)
-            cursor = cursors[eng_of[row]]
-            cursor.set_row(row)
-            cursor.changed_mask = 0
             results[row] = SimulationRun(
                 end_time=end_time,
                 stopped=stopped,
                 stop_time=stop_time,
                 weight=weights[row],
                 firings=firings[row],
-                final_marking=cursor.export(),
+                final_marking=DeferredMarking(
+                    places_of[eng_of[row]], rows_vals[row]
+                ),
                 reward_integrals=integrators[row].integrals,
             )
 
@@ -539,6 +542,8 @@ class MultiPointContext:
         for e, count in enumerate(kernel_counts):
             if count:
                 engines[e]._kernel_events += count
+        for cursor in cursors:
+            cursor.release()
         return [
             [results[r] for r in rows_j]  # type: ignore[misc]
             for rows_j in job_rows

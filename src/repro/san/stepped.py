@@ -63,6 +63,7 @@ from repro.san.batched import (
     _tree_expr,
 )
 from repro.san.compiled import trace_fire_programs
+from repro.san.marking import DeferredMarking
 from repro.san.simulator import SimulationRun, _RewardIntegrator
 
 __all__ = ["SteppedJumpEngine"]
@@ -701,6 +702,9 @@ class SteppedJumpEngine(BatchedJumpEngine):
         Observed runs delegate per row to the compiled engine and runs
         with rate rewards take the batched per-event loop (both via
         :class:`BatchedJumpEngine`), keeping their contracts intact.
+        Each run's ``final_marking`` is a
+        :class:`~repro.san.marking.DeferredMarking`: its dict is built
+        only if a caller reads it.
         """
         self._require_runtime()
         if self.observer is not None or rate_rewards:
@@ -721,6 +725,7 @@ class SteppedJumpEngine(BatchedJumpEngine):
         fire_programs = self._fire_programs
         choosers = self._choosers
         firers = self._firers
+        places = compiled.places
 
         rows = [list(compiled.initial_values) for _ in range(n_rows)]
         matrix = np.zeros((n_rows, compiled.n_slots), dtype=np.int64,
@@ -763,17 +768,17 @@ class SteppedJumpEngine(BatchedJumpEngine):
 
         def finalize(row: int, end_time: float, stopped: bool,
                      stop_time: float) -> None:
+            # a finished row's values are never written again, so its
+            # marking snapshot is deferred until a caller reads it
             alive_mask[row] = False
             sync(row)
-            cursor.set_row(row)
-            cursor.changed_mask = 0
             results[row] = SimulationRun(
                 end_time=end_time,
                 stopped=stopped,
                 stop_time=stop_time,
                 weight=weights[row],
                 firings=firings[row],
-                final_marking=cursor.export(),
+                final_marking=DeferredMarking(places, rows[row]),
                 reward_integrals=integrators[row].integrals,
             )
 
@@ -1031,4 +1036,5 @@ class SteppedJumpEngine(BatchedJumpEngine):
             if changed_union and alive and self._lowered:
                 self._refresh_lowered(changed_union, matrix, Ro, Rb,
                                       alive_mask, has_bias)
+        cursor.release()
         return results  # type: ignore[return-value]

@@ -26,7 +26,7 @@ class TestDiagnoseMode:
         assert diagnose_engine.fallback_reasons == {}
 
     def test_no_runtime_delegate(self, diagnose_engine):
-        assert diagnose_engine._delegate is None
+        assert diagnose_engine._delegate_engine is None
         assert diagnose_engine._choosers == []
         assert diagnose_engine._firers == []
         assert diagnose_engine.fired_events == 0
@@ -78,7 +78,9 @@ class TestDiagnoseMode:
         model, *_ = make_two_state_model()
         engine = BatchedJumpEngine(model)
         assert engine.diagnose is False
-        assert engine._delegate is not None
+        # the per-row delegate is built on first use, not at construction
+        assert engine._delegate_engine is None
         stream = StreamFactory(11).stream("y")
         run = engine.run(stream, 0.5)
         assert run is not None
+        assert engine._delegate_engine is not None
