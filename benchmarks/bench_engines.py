@@ -18,7 +18,9 @@ batch 256, one cross-point tensorized run must hold >= 1.5x over
 per-point stepped loops on the figure-shaped sweeps, and a single
 stepped ``run()`` must stay within 1.25x of a compiled one (the CI
 bench-smoke gates).  All engines replay the same seeds, so the
-``events`` columns double as an equivalence check.
+``events`` columns double as an equivalence check.  A last, ungated
+``kernel`` row runs the stepped kernel on the ``fig12-mc`` end-to-end
+workload's shape and reports its always-on kernel counters.
 """
 
 import argparse
@@ -474,6 +476,101 @@ def _render_single(row: dict) -> str:
     )
 
 
+def compare_kernel(
+    shape=((10, 4), (14, 4), (18, 3)),
+    width: int = 256,
+    horizon: float = 2.0,
+    repeats: int = 3,
+) -> dict:
+    """The stepped kernel on the ``fig12-mc`` shape, with its counters.
+
+    Crude Monte Carlo at DD, λ = 1e-2, t = 2 h with the unsafe stop
+    predicate: for each ``(n, chunks)`` of ``shape`` a fresh engine (as
+    every orchestrated point builds its own) runs ``chunks`` batches of
+    ``width`` rows.  Timed is the ``run_batch`` work only, best of
+    ``repeats`` passes; the counters come from the engines'
+    :meth:`~repro.san.stepped.SteppedJumpEngine.kernel_counters`, and
+    occupancy is ``row_steps / (steps * width)``.
+    """
+    from repro.core import Strategy
+
+    points = []
+    for n, chunks in shape:
+        ahs = build_composed_model(
+            AHSParameters(
+                max_platoon_size=n, base_failure_rate=1e-2,
+                strategy=Strategy.DD,
+            )
+        )
+        points.append((n, chunks, ahs.model, ahs.unsafe_predicate()))
+    best = None
+    for _ in range(max(1, repeats)):
+        rows = []
+        for n, chunks, model, predicate in points:
+            engine = make_jump_engine(model, engine="stepped",
+                                      batch_size=width)
+            seconds = 0.0
+            events = 0
+            for chunk in range(chunks):
+                streams = StreamFactory(2024).stream_batch(
+                    f"kernel-n{n}-c{chunk}", width
+                )
+                started = time.perf_counter()
+                runs = engine.run_batch(streams, horizon, predicate)
+                seconds += time.perf_counter() - started
+                events += sum(run.firings for run in runs)
+            counters = engine.kernel_counters()
+            rows.append({
+                "max_platoon_size": n,
+                "chunks": chunks,
+                "events": events,
+                "seconds": seconds,
+                "events_per_sec": events / seconds if seconds > 0 else 0.0,
+                "occupancy": counters["row_steps"]
+                / (counters["steps"] * width),
+                "counters": counters,
+            })
+        seconds = sum(row["seconds"] for row in rows)
+        if best is None or seconds < best["seconds"]:
+            events = sum(row["events"] for row in rows)
+            best = {
+                "strategy": "DD",
+                "base_failure_rate": 1e-2,
+                "horizon": horizon,
+                "batch_size": width,
+                "events": events,
+                "seconds": seconds,
+                "events_per_sec": events / seconds if seconds > 0 else 0.0,
+                "points": rows,
+            }
+    return best
+
+
+def _render_kernel(row: dict) -> str:
+    lines = [
+        "kernel (fig12-mc shape: DD, lambda={lam:g}, t={t:g} h, B={b}): "
+        "{ev} events in {s:.2f} s = {rate:.0f} ev/s".format(
+            lam=row["base_failure_rate"], t=row["horizon"],
+            b=row["batch_size"], ev=row["events"], s=row["seconds"],
+            rate=row["events_per_sec"],
+        ),
+        f"{'n':>4}  {'chunks':>6}  {'events':>7}  {'ev/s':>7}  "
+        f"{'steps':>6}  {'occupancy':>9}  {'insta lookups':>13}  "
+        f"{'fills':>6}  {'scans':>6}  {'closure firings':>15}",
+    ]
+    for point in row["points"]:
+        counters = point["counters"]
+        lines.append(
+            f"{point['max_platoon_size']:>4}  {point['chunks']:>6}  "
+            f"{point['events']:>7}  {point['events_per_sec']:>7.0f}  "
+            f"{counters['steps']:>6}  {point['occupancy']:>9.2f}  "
+            f"{counters['insta_lookups']:>13}  {counters['insta_fills']:>6}  "
+            f"{counters['insta_scans']:>6}  "
+            f"{counters['closure_firings']:>15}"
+        )
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Compare the interpreted and compiled SAN jump engines."
@@ -526,6 +623,9 @@ def main(argv=None) -> int:
     single = compare_single(replications=32 if args.smoke else 64)
     print()
     print(_render_single(single))
+    kernel = compare_kernel(repeats=1 if args.smoke else 3)
+    print()
+    print(_render_kernel(kernel))
     record = {
         "benchmark": "san-jump-engines",
         "replications": max(replications, max(batch_sizes)),
@@ -534,6 +634,7 @@ def main(argv=None) -> int:
         "rows": rows,
         "sweeps": sweep_rows,
         "single": single,
+        "kernel": kernel,
     }
     with open(args.json, "w") as handle:
         json.dump(record, handle, indent=2)

@@ -12,13 +12,15 @@ the span cap) or not at all.  This pass makes them lint rules:
   (no runtime kernels, no batch arrays) and serialises the typed kernel
   IR: lowered group shapes and read sets, delta-program firing
   matrices, refresh-table specs (roles, bounds, spans), instantaneous
-  scan coverage and fallback reasons.  Its :meth:`KernelIR.digest` is
-  the content address the model registry stores on admission.
+  scan coverage with per-group gate-table specs, and fallback reasons.
+  Its :meth:`KernelIR.digest` is the content address the model
+  registry stores on admission.
 * :func:`check_lowering` verifies the IR by abstract interpretation
   over the bounded reachable-marking envelope: the lowered trees are
   evaluated on the *whole* explored marking set at once (value-range
   and dtype propagation, rules LW001/LW002/LW006), predicted
-  mixed-radix table spans are bounded against the 2^20 cap (LW003),
+  mixed-radix spans of the refresh and instantaneous gate tables are
+  bounded against the 2^20 cap (LW003),
   case probabilities are re-normalised at every reachable marking
   (LW004), and the lowered read/write sets are cross-checked against
   the AST-derived footprints so scalar/vectorized semantic divergence
@@ -263,16 +265,20 @@ def extract_kernel_ir(model: SANModel, engine=None) -> Optional[KernelIR]:
         ir.tables.append({
             "group": position,
             "direct": bool(table.direct),
-            "gate": _part_spec(table.gate),
-            "rate": _part_spec(table.rate),
+            "gate": _part_spec(table.gate and table.gate.memo),
+            "rate": _part_spec(table.rate and table.rate.memo),
         })
 
     ir.insta = {
-        "lowered": engine._insta_lowered is not None,
+        "lowered": engine._insta_tables is not None,
         "reads": sorted(
             places[slot].name for slot in engine._insta_read_slots
         ),
         "activities": [a.name for a in compiled.instantaneous],
+        "groups": [
+            {"members": list(table.names), "table": _part_spec(table.memo)}
+            for table in engine._insta_tables or []
+        ],
     }
     ir.fallbacks = dict(engine.fallback_reasons)
     return ir
@@ -373,9 +379,34 @@ def _check_value_ranges(engine, matrix) -> Iterator[Diagnostic]:
             )
 
 
+def _table_parts(engine) -> Iterator[tuple]:
+    """``(activity, table kind, consequence, part)`` per table part."""
+    for table in engine._tables:
+        if table.direct and table.gate is None and table.rate is None:
+            continue  # roles never derived; tabulation was never on offer
+        for kind, part in (("gate", table.gate), ("rate", table.rate)):
+            if part is not None:
+                yield (
+                    table.group.names[0],
+                    f"{kind} refresh table",
+                    "the group reverts to direct tree evaluation every step",
+                    part.memo,
+                )
+    for table in engine._insta_tables or []:
+        if table.memo is not None:
+            yield (
+                table.names[0],
+                "instantaneous gate table",
+                "the instantaneous check evaluates the group's gate trees "
+                "on every triggered row",
+                table.memo,
+            )
+
+
 def _check_table_spans(engine, matrix, complete) -> Iterator[Diagnostic]:
     """LW003: predicted mixed-radix spans against the 2^20 cap.
 
+    Covers the refresh tables and the instantaneous gate tables.
     Replays :class:`_PartMemo`'s bound-growth rule (bound = observed
     maximum + 2) over the reachable envelope, so the prediction is the
     span the runtime tables converge to — a lower bound when the
@@ -383,30 +414,22 @@ def _check_table_spans(engine, matrix, complete) -> Iterator[Diagnostic]:
     """
     from repro.san.stepped import _SPAN_CAP
 
-    for table in engine._tables:
-        if table.direct and table.gate is None and table.rate is None:
-            continue  # roles never derived; tabulation was never on offer
-        label = table.group.names[0]
-        for kind, part in (("gate", table.gate), ("rate", table.rate)):
-            if part is None:
-                continue
-            span = 1
-            for role in part.member_slots:
-                top = int(matrix[:, role].max()) if matrix.size else 0
-                span *= max(top + 2, 2)
-            for slot in part.shared_slots:
-                top = int(matrix[:, slot].max()) if matrix.size else 0
-                span *= max(top + 2, 2)
-            if part.dead or span > _SPAN_CAP:
-                qualifier = "" if complete else "at least "
-                yield Diagnostic(
-                    "LW003",
-                    f"{kind} refresh table needs {qualifier}{span} "
-                    f"entries over the reachable envelope (cap "
-                    f"{_SPAN_CAP}); the group reverts to direct tree "
-                    "evaluation every step",
-                    activity=label,
-                )
+    for label, kind, consequence, part in _table_parts(engine):
+        span = 1
+        for role in part.member_slots:
+            top = int(matrix[:, role].max()) if matrix.size else 0
+            span *= max(top + 2, 2)
+        for slot in part.shared_slots:
+            top = int(matrix[:, slot].max()) if matrix.size else 0
+            span *= max(top + 2, 2)
+        if part.dead or span > _SPAN_CAP:
+            qualifier = "" if complete else "at least "
+            yield Diagnostic(
+                "LW003",
+                f"{kind} needs {qualifier}{span} entries over the "
+                f"reachable envelope (cap {_SPAN_CAP}); {consequence}",
+                activity=label,
+            )
 
 
 def _check_normalization(model, markings) -> Iterator[Diagnostic]:
@@ -609,6 +632,14 @@ def check_tensor(model: SANModel) -> Iterator[Diagnostic]:
             "TZ002",
             "instantaneous gate conjunctions did not lower; every "
             "triggered row pays a per-row stabilisation scan",
+        )
+    if stats["insta_tabulated"] < stats["insta_groups"]:
+        untabulated = stats["insta_groups"] - stats["insta_tabulated"]
+        yield Diagnostic(
+            "TZ002",
+            f"instantaneous gates not tabulated: {untabulated}/"
+            f"{stats['insta_groups']} gate groups have no direct-address "
+            "table and evaluate their trees on every triggered row",
         )
     if stats["groups_tabulated"] < stats["groups"]:
         direct = stats["groups"] - stats["groups_tabulated"]

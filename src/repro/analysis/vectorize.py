@@ -30,7 +30,9 @@ def lowering_summary(model: SANModel) -> Optional[dict]:
     The stepped engine subsumes the batched compile pass, so its stats
     carry the batched lowering coverage plus the stepped-only figures:
     ``fire_cases``/``fire_lowered`` (delta-program firing coverage),
-    ``insta_lowered`` (instantaneous gate conjunctions) and
+    ``insta_lowered`` (instantaneous gate conjunctions),
+    ``insta_groups``/``insta_tabulated`` (instantaneous gate-code
+    groups, and those served by direct-address tables) and
     ``groups_tabulated`` (refresh groups served by direct-address
     tables).  Returns None when the model cannot go through the batch
     compile pass at all (non-exponential activities, or NumPy missing).

@@ -45,6 +45,7 @@ import math
 from bisect import bisect_right
 from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from repro.san.activities import InstantaneousActivity, TimedActivity
@@ -421,6 +422,26 @@ def _compile_rate(
     return 0.0, rate
 
 
+def _key_getter(mask: int) -> Callable[[list], Any]:
+    """``values -> key``: the values at the slots of ``mask``."""
+    slots = []
+    while mask:
+        low = mask & -mask
+        slots.append(low.bit_length() - 1)
+        mask ^= low
+    return itemgetter(*slots) if slots else _no_key
+
+
+def _no_key(values: list) -> None:
+    return None
+
+
+#: entries one activity's case memo holds before it starts over; a
+#: bound for probabilities over unbounded counters (the AHS models stay
+#: far below it)
+_CASE_MEMO_CAP = 1 << 16
+
+
 def _compile_chooser(
     activity, marking: CompiledMarking, slot_of
 ) -> Optional[Callable[[RandomStream], int]]:
@@ -430,15 +451,30 @@ def _compile_chooser(
     probability evaluation (with the [0,1] clamp and error messages of
     ``Case.probability_in``), the same sum-to-1 check, and the same single
     ``choice_index`` draw.
+
+    The validated probability list is memoised, keyed on the values of
+    the slots the probability functions read (recorded by tracing views
+    on every miss).  Case probabilities are pure, so a list computed
+    from the same read values is the list a re-evaluation would give;
+    when a miss reads a slot outside the key (a branch not taken
+    before), the key widens and the memo starts over.  Errors are never
+    cached, and a probability that may read an extended place keeps
+    the uncached path.
     """
     cases = activity.cases
     if len(cases) == 1:
         return None
+    trace = [0]
+    cacheable = True
     evaluators: list[Callable[[], float]] = []
     for case in cases:
         probability = case.probability
         if isinstance(probability, MarkingFunction):
-            view = _SlotView(marking, probability.slot_binding(slot_of))
+            if any(place.is_extended for place in probability.reads()):
+                cacheable = False
+            view = _TracingSlotView(
+                marking, probability.slot_binding(slot_of), trace
+            )
             raw = probability.fn
             label = case.label
 
@@ -456,7 +492,7 @@ def _compile_chooser(
             evaluators.append(lambda probability=probability: probability)
     name = activity.name
 
-    def choose(stream: RandomStream) -> int:
+    def probabilities() -> list[float]:
         probs = [evaluate() for evaluate in evaluators]
         total = sum(probs)
         if abs(total - 1.0) > 1e-6:
@@ -464,6 +500,35 @@ def _compile_chooser(
                 f"activity {name!r}: case probabilities sum to {total}, "
                 f"expected 1"
             )
+        return probs
+
+    if not cacheable:
+        def choose_uncached(stream: RandomStream) -> int:
+            return stream.choice_index(probabilities())
+
+        return choose_uncached
+
+    memo: dict = {}
+    key_mask = 0
+    key_of = _no_key
+
+    def choose(stream: RandomStream) -> int:
+        nonlocal key_mask, key_of
+        values = marking.values
+        key = key_of(values)
+        probs = memo.get(key)
+        if probs is None:
+            trace[0] = 0
+            probs = probabilities()
+            reads = trace[0]
+            if reads & ~key_mask:
+                key_mask |= reads
+                key_of = _key_getter(key_mask)
+                memo.clear()
+                key = key_of(values)
+            elif len(memo) >= _CASE_MEMO_CAP:
+                memo.clear()
+            memo[key] = probs
         return stream.choice_index(probs)
 
     return choose

@@ -321,9 +321,16 @@ class MultiPointContext:
                     cursor.changed_mask = 0
 
         kernel_counts = [0] * n_engines
+        step_counts = np.zeros(n_engines, dtype=np.int64)
+        row_step_counts = np.zeros(n_engines, dtype=np.int64)
 
         # --- batch-step loop over all points' rows --------------------
         while alive:
+            alive_per_engine = np.bincount(
+                eng_of[alive], minlength=n_engines
+            )
+            step_counts += alive_per_engine > 0
+            row_step_counts += alive_per_engine
             full = len(alive) == n_rows
             Cb = np.cumsum(Rb if full else Rb[alive], axis=1)
             if has_bias:
@@ -433,6 +440,7 @@ class MultiPointContext:
                                     changed_masks[r] |= (
                                         cursor.clear_changed_mask()
                                     )
+                                    engine._closure_firings += 1
                             continue
                         krows = np.fromiter(
                             (fired_rows[k] for k in ks),
@@ -446,6 +454,7 @@ class MultiPointContext:
                                 stale[r] |= write_mask
                                 changed_masks[r] |= write_mask
                             continue
+                    engine._closure_firings += len(ks)
                     for k in ks:
                         r = fired_rows[k]
                         sync(r)
@@ -464,16 +473,17 @@ class MultiPointContext:
                 engine = engines[e]
                 if not engine._insta:
                     continue
-                if engine._insta_lowered is not None:
+                if engine._insta_tables is not None:
                     with np.errstate(all="ignore"):
                         enabled = engine._insta_enabled_rows(
                             matrix, np.asarray(triggered, dtype=np.intp)
                         )
                     scan_rows = [
-                        r for r, ok in zip(triggered, enabled) if ok
+                        triggered[k] for k in np.flatnonzero(enabled)
                     ]
                 else:
                     scan_rows = triggered
+                engine._insta_scans += len(scan_rows)
                 cursor = cursors[e]
                 for r in scan_rows:
                     sync(r)
@@ -539,9 +549,10 @@ class MultiPointContext:
                     _refresh_engine(engines[e], changed_unions[e], matrix,
                                     alive_e, Ro, Rb, alive_mask, has_bias)
 
-        for e, count in enumerate(kernel_counts):
-            if count:
-                engines[e]._kernel_events += count
+        for e, engine in enumerate(engines):
+            engine._kernel_events += kernel_counts[e]
+            engine._steps += int(step_counts[e])
+            engine._row_steps += int(row_step_counts[e])
         for cursor in cursors:
             cursor.release()
         return [

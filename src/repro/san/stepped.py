@@ -19,9 +19,11 @@ the Python-level iteration is **per batch step** rather than per event:
   that fired the same case in one NumPy operation, with per-row Python
   values synchronised lazily (a ``stale`` bitmask per row) only when a
   scalar closure, stop predicate or export actually needs them;
-* the instantaneous-activity scan and the stop predicate are lowered to
-  column expressions where possible, so the per-event Python work for
-  the common movement firings collapses to the two stream draws;
+* the instantaneous-activity check and the stop predicate are lowered
+  to column expressions where possible (the check served from one
+  direct-address table per gate-code group), so the per-event Python
+  work for the common movement firings collapses to the two stream
+  draws;
 * masked time-advance: absorbed, deadlocked and horizon-crossed rows
   drop out of the step loop exactly as in the batched engine.
 
@@ -260,17 +262,110 @@ class _PartMemo:
         return idx_member
 
 
+def _name_roles(fn, bindings: list, extended: frozenset, what: str) -> list:
+    """Per read name of ``fn``, the slot each member binds it to.
+
+    The trace runs once on the template (first) binding; the read name
+    set is code-determined (path enumeration never looks at values), so
+    the other members' slots come straight from their bindings.
+    """
+    template = bindings[0]
+    _expr, reads = _lower_group(fn, [template], extended)
+    names = sorted(name for name, slot in template.items() if slot in reads)
+    if reads - {template[name] for name in names}:
+        raise _CannotLower(f"{what} read outside its binding")
+    return [
+        np.array([binding[name] for binding in bindings], dtype=np.intp)
+        for name in names
+    ]
+
+
+def _gate_roles(slot_of, members, extended: frozenset) -> list:
+    """Name-aligned role vectors of a member group's input gates."""
+    roles: list = []
+    for position, gate in enumerate(members[0].input_gates):
+        roles += _name_roles(
+            gate.predicate,
+            [m.input_gates[position].slot_binding(slot_of) for m in members],
+            extended,
+            "gate",
+        )
+    return roles
+
+
+def _conjunction(gate_exprs: list) -> Callable:
+    """``sub -> bool block``: the AND of a group's lowered gate trees."""
+
+    def evaluate(sub):
+        enabled = None
+        for expr in gate_exprs:
+            gate = np.asarray(expr(sub)) != 0
+            enabled = gate if enabled is None else (enabled & gate)
+        return enabled
+
+    return evaluate
+
+
+class _TreeTable:
+    """A lowered tree of a member group, served from a :class:`_PartMemo`.
+
+    The tree is a group's gate conjunction (a 0/1 table) or its rate
+    expression (a float table).  Missing entries are filled by
+    evaluating the tree on just the missing rows, so every cached value
+    holds exactly the bits a direct full-batch evaluation would produce
+    (elementwise ufuncs are bitwise shape-independent).
+    """
+
+    __slots__ = ("names", "evaluate", "memo", "lookups", "fills")
+
+    def __init__(self, names: list, evaluate: Callable,
+                 memo: Optional[_PartMemo]) -> None:
+        self.names = names
+        #: ``sub -> values`` over a row subset of the marking matrix
+        self.evaluate = evaluate
+        #: None when the group's roles could not be derived
+        self.memo = memo
+        #: rows looked up in / filled into the table (kernel counters)
+        self.lookups = 0
+        self.fills = 0
+
+    def block(self, sub: np.ndarray) -> np.ndarray:
+        """``(rows, G)``: the tree evaluated on ``sub``, per member."""
+        return np.broadcast_to(
+            self.evaluate(sub), (sub.shape[0], len(self.names))
+        )
+
+    def lookup(self, matrix, rows: np.ndarray, cache: dict):
+        """Table values for ``rows``: ``(R,)`` when every role is shared,
+        ``(R, G)`` otherwise; ``None`` without a live table."""
+        memo = self.memo
+        idx = None if memo is None else memo.index(matrix, rows, cache)
+        if idx is None:
+            return None
+        self.lookups += len(rows)
+        vals = memo.table[idx]
+        miss = np.isnan(vals) if memo.is_float else vals == 2
+        if miss.any():
+            if miss.ndim == 2:
+                local = np.flatnonzero(miss.any(axis=1))
+            else:
+                local = np.flatnonzero(miss)
+            self.fills += len(local)
+            block = self.block(matrix[rows[local]])
+            target = idx[local]
+            # shared-only roles: every member caches the same value
+            memo.table[target] = block[:, 0] if target.ndim == 1 else block
+            vals = memo.table[idx]
+        return vals
+
+
 class _TableGroup:
     """Tabulated refresh for one lowered group (stepped engine only).
 
-    Splits the group into its gate conjunction (a 0/1 table) and its
-    rate expression (a float table), each direct-addressed by
-    :class:`_PartMemo` keys.  Missing entries are filled by evaluating
-    the group's own lowered trees on just the missing rows, so every
-    cached value holds exactly the bits the direct full-batch refresh
-    would produce (elementwise ufuncs are bitwise shape-independent),
-    and the per-step work in the steady state collapses to column
-    gathers, two table lookups and one ``where``.
+    Splits the group into its gate conjunction and its rate expression,
+    each a :class:`_TreeTable`, so the per-step work in the steady
+    state collapses to column gathers, two table lookups and one
+    ``where``.
 
     Parity notes: the negative-rate guard runs per step on the gathered
     values (gate-masked, alive rows only) exactly like the direct
@@ -284,8 +379,8 @@ class _TableGroup:
     def __init__(self, compiled, group, extended: frozenset,
                  defer: bool = False) -> None:
         self.group = group
-        self.gate: Optional[_PartMemo] = None
-        self.rate: Optional[_PartMemo] = None
+        self.gate: Optional[_TreeTable] = None
+        self.rate: Optional[_TreeTable] = None
         self.direct = False
         members = [compiled.timed[i] for i in group.indices]
         try:
@@ -296,61 +391,36 @@ class _TableGroup:
             self.direct = True
             return
         if group.gate_exprs:
-            self.gate = _PartMemo(gate_roles, is_float=False, defer=defer)
+            self.gate = _TreeTable(
+                group.names,
+                _conjunction(group.gate_exprs),
+                _PartMemo(gate_roles, is_float=False, defer=defer),
+            )
         if group.rate_expr is not None:
-            self.rate = _PartMemo(rate_roles, is_float=True, defer=defer)
-        if (self.gate is not None and self.gate.dead) or (
-            self.rate is not None and self.rate.dead
-        ):
+            rate_expr = group.rate_expr
+            self.rate = _TreeTable(
+                group.names,
+                lambda sub: np.asarray(rate_expr(sub), dtype=np.float64),
+                _PartMemo(rate_roles, is_float=True, defer=defer),
+            )
+        if any(part is not None and part.memo.dead
+               for part in (self.gate, self.rate)):
             self.direct = True
 
     @staticmethod
     def _derive_roles(slot_of, members, extended: frozenset) -> tuple:
-        """Name-aligned per-role slot vectors for gates and rate.
-
-        The trace runs once on the template member; the read name set
-        is code-determined (path enumeration never looks at values), so
-        the other members' slots come straight from their bindings.
-        """
-        template = members[0]
-        gate_roles: list = []
-        for position in range(len(template.input_gates)):
-            binding = template.input_gates[position].slot_binding(slot_of)
-            _expr, reads = _lower_group(
-                template.input_gates[position].predicate, [binding], extended
-            )
-            names = sorted(
-                name for name, slot in binding.items() if slot in reads
-            )
-            if reads - {binding[name] for name in names}:
-                raise _CannotLower("gate read outside its binding")
-            bindings = [
-                m.input_gates[position].slot_binding(slot_of)
-                for m in members
-            ]
-            for name in names:
-                gate_roles.append(np.array(
-                    [b[name] for b in bindings], dtype=np.intp
-                ))
+        """Name-aligned per-role slot vectors for gates and rate."""
         rate_roles: list = []
-        _constant, rate_fn = template.exponential_parts()
+        _constant, rate_fn = members[0].exponential_parts()
         if rate_fn is not None:
-            binding = rate_fn.slot_binding(slot_of)
-            _expr, reads = _lower_group(rate_fn.fn, [binding], extended)
-            names = sorted(
-                name for name, slot in binding.items() if slot in reads
+            rate_roles = _name_roles(
+                rate_fn.fn,
+                [m.exponential_parts()[1].slot_binding(slot_of)
+                 for m in members],
+                extended,
+                "rate",
             )
-            if reads - {binding[name] for name in names}:
-                raise _CannotLower("rate read outside its binding")
-            bindings = [
-                m.exponential_parts()[1].slot_binding(slot_of)
-                for m in members
-            ]
-            for name in names:
-                rate_roles.append(np.array(
-                    [b[name] for b in bindings], dtype=np.intp
-                ))
-        return gate_roles, rate_roles
+        return _gate_roles(slot_of, members, extended), rate_roles
 
     def refresh(self, matrix, rows, Ro, Rb, alive_mask,
                 has_bias: bool, cache: Optional[dict] = None,
@@ -364,63 +434,28 @@ class _TableGroup:
         never changes what a single-point batch computes.
         """
         group = self.group
+        if cache is None:
+            cache = {}
+        en = rt = None
+        if not self.direct and self.gate is not None:
+            en = self.gate.lookup(matrix, rows, cache)
+            self.direct = en is None
+        if not self.direct and self.rate is not None:
+            rt = self.rate.lookup(matrix, rows, cache)
+            self.direct = rt is None
         if self.direct:
             if restrict:
                 group.refresh_rows(matrix, rows, Ro, Rb, has_bias)
             else:
                 group.refresh(matrix, Ro, Rb, alive_mask, has_bias)
             return
-        if cache is None:
-            cache = {}
-        gate_idx = None
-        if self.gate is not None:
-            gate_idx = self.gate.index(matrix, rows, cache)
-            if gate_idx is None:
-                self.direct = True
-                if restrict:
-                    group.refresh_rows(matrix, rows, Ro, Rb, has_bias)
-                else:
-                    group.refresh(matrix, Ro, Rb, alive_mask, has_bias)
-                return
-        rate_idx = None
-        if self.rate is not None:
-            rate_idx = self.rate.index(matrix, rows, cache)
-            if rate_idx is None:
-                self.direct = True
-                if restrict:
-                    group.refresh_rows(matrix, rows, Ro, Rb, has_bias)
-                else:
-                    group.refresh(matrix, Ro, Rb, alive_mask, has_bias)
-                return
 
-        en = self.gate.table[gate_idx] if self.gate is not None else None
-        rt = self.rate.table[rate_idx] if self.rate is not None else None
-        miss = None
-        if en is not None:
-            miss = en == 2
-        if rt is not None:
-            rt_miss = np.isnan(rt)
-            if miss is None:
-                miss = rt_miss
-            elif miss.shape == rt_miss.shape:
-                miss = miss | rt_miss
-            else:  # one side per-row, the other per-(row, member)
-                miss = (
-                    miss.reshape(len(rows), -1).any(axis=1)
-                    | rt_miss.reshape(len(rows), -1).any(axis=1)
-                )
-        if miss is not None and miss.any():
-            if miss.ndim == 2:
-                local = np.unique(np.nonzero(miss)[0])
-            else:
-                local = np.flatnonzero(miss)
-            self._fill(matrix, rows, local, gate_idx, rate_idx)
-            if en is not None:
-                en = self.gate.table[gate_idx]
-            if rt is not None:
-                rt = self.rate.table[rate_idx]
-
-        if rt is None:
+        if rt is None and en is None:
+            # gateless constant-rate group: its constants, every row
+            block = np.broadcast_to(
+                group.eff_consts, (len(rows), len(group.indices))
+            )
+        elif rt is None:
             enabled = en != 0
             if enabled.ndim == 1:
                 enabled = enabled[:, None]
@@ -457,34 +492,6 @@ class _TableGroup:
             else:
                 Rb[rows2, group.indices] = block
 
-    def _fill(self, matrix, rows, local, gate_idx, rate_idx) -> None:
-        """Evaluate the group's trees on the missing rows and cache."""
-        group = self.group
-        sub = matrix[rows[local]]
-        shape = (len(local), len(group.indices))
-        if self.gate is not None:
-            enabled = None
-            for expr in group.gate_exprs:
-                gate = np.asarray(expr(sub)) != 0
-                enabled = gate if enabled is None else (enabled & gate)
-            if enabled.ndim != 2:
-                enabled = np.broadcast_to(enabled, shape)
-            target = gate_idx[local]
-            if target.ndim == 1:
-                # shared-only roles: every member caches the same value
-                self.gate.table[target] = enabled[:, 0]
-            else:
-                self.gate.table[target] = enabled
-        if self.rate is not None:
-            rates = np.asarray(group.rate_expr(sub), dtype=np.float64)
-            if rates.ndim != 2:
-                rates = np.broadcast_to(rates, shape)
-            target = rate_idx[local]
-            if target.ndim == 1:
-                self.rate.table[target] = rates[:, 0]
-            else:
-                self.rate.table[target] = rates
-
 
 class SteppedJumpEngine(BatchedJumpEngine):
     """Per-batch-step lockstep executor (see module docstring).
@@ -510,11 +517,13 @@ class SteppedJumpEngine(BatchedJumpEngine):
             trace_fire_programs(compiled, activity)
             for activity in compiled.timed
         ]
-        self._insta_lowered = self._lower_insta()
         extended = frozenset(
             slot for slot, place in enumerate(compiled.places)
             if place.is_extended
         )
+        #: per gate-code group of instantaneous activities, its enabling
+        #: table (None when the gates did not lower)
+        self._insta_tables = self._lower_insta(extended)
         #: per lowered group, its tabulated refresh (tables persist
         #: across batches — read-value combinations recur between sweep
         #: points, so later points start warm)
@@ -522,22 +531,11 @@ class SteppedJumpEngine(BatchedJumpEngine):
             _TableGroup(compiled, group, extended, defer=self.diagnose)
             for group in self._lowered
         ]
-        #: table-memoised insta-gate scan: ``read values -> any enabled``
-        #: keyed the same way as the refresh tables (the severity gates
-        #: read a handful of shared class counters, so the key space is
-        #: tiny); None when the gates didn't lower or the span is hopeless
-        self._insta_memo: Optional[_PartMemo] = None
-        if self._insta_lowered is not None and self._insta_read_slots:
-            memo = _PartMemo(
-                [
-                    np.array([slot], dtype=np.intp)
-                    for slot in sorted(self._insta_read_slots)
-                ],
-                is_float=False,
-                defer=self.diagnose,
-            )
-            if not memo.dead:
-                self._insta_memo = memo
+        #: always-on kernel counters, see :meth:`kernel_counters`
+        self._steps = 0
+        self._row_steps = 0
+        self._insta_scans = 0
+        self._closure_firings = 0
         #: entry stabilisation is deterministic (and so broadcastable
         #: from the first row) exactly when no instantaneous activity
         #: can draw a case — single-case activities never touch the
@@ -549,79 +547,81 @@ class SteppedJumpEngine(BatchedJumpEngine):
         # the strong predicate reference prevents id reuse
         self._stop_cache: dict[int, tuple] = {}
 
-    def _lower_insta(self) -> Optional[list]:
-        """Per instantaneous activity, its lowered gate conjunction.
+    def _lower_insta(self, extended: frozenset) -> Optional[list]:
+        """Per gate-code group of instantaneous activities, its table.
 
-        ``None`` when any activity resists lowering (or is gateless,
-        i.e. unconditionally enabled): the conservative changed-mask
-        trigger then scans exactly like the batched engine.
+        Groups by gate code as :meth:`BatchedJumpEngine._bind` does for
+        timed activities, retrying a group that fails collectively
+        member by member.  ``None`` when any activity resists lowering
+        (or is gateless, i.e. unconditionally enabled): the conservative
+        changed-mask trigger then scans exactly like the batched engine.
         """
-        compiled = self.compiled
-        slot_of = compiled.slot_of
-        extended = frozenset(
-            slot for slot, place in enumerate(compiled.places)
-            if place.is_extended
-        )
-        per_activity: list[list[Callable]] = []
-        reads_union: set[int] = set()
+        slot_of = self.compiled.slot_of
         self._insta_read_slots: frozenset = frozenset()
-        for activity in compiled.instantaneous:
+        signatures: dict[tuple, list] = {}
+        for activity in self.compiled.instantaneous:
             if not activity.input_gates:
                 return None
-            gate_exprs = []
-            try:
-                for gate in activity.input_gates:
-                    expr, reads = _lower_group(
-                        gate.predicate,
-                        [gate.slot_binding(slot_of)],
-                        extended,
-                    )
-                    gate_exprs.append(expr)
-                    reads_union |= reads
-            except _CannotLower:
-                return None
-            per_activity.append(gate_exprs)
-        self._insta_read_slots = frozenset(reads_union)
-        return per_activity
+            signature = tuple(
+                id(gate.predicate) for gate in activity.input_gates
+            )
+            signatures.setdefault(signature, []).append(activity)
+        reads_union: set[int] = set()
 
-    def _any_insta_enabled(self, sub: np.ndarray, n_rows: int) -> np.ndarray:
-        """(R,) bool: rows where some instantaneous activity is enabled."""
-        any_enabled: Optional[np.ndarray] = None
-        for gate_exprs in self._insta_lowered:  # type: ignore[union-attr]
-            act: Optional[np.ndarray] = None
-            for expr in gate_exprs:
-                gate = _bool_rows(expr(sub), n_rows)
-                act = gate if act is None else (act & gate)
-            any_enabled = act if any_enabled is None else (any_enabled | act)
-        if any_enabled is None:  # no instantaneous activities at all
-            return np.zeros(n_rows, dtype=bool)
-        return any_enabled
+        def lower(members: list) -> _TreeTable:
+            gate_exprs = []
+            reads: set[int] = set()
+            for position, gate in enumerate(members[0].input_gates):
+                expr, gate_reads = _lower_group(
+                    gate.predicate,
+                    [m.input_gates[position].slot_binding(slot_of)
+                     for m in members],
+                    extended,
+                )
+                gate_exprs.append(expr)
+                reads |= gate_reads
+            try:
+                memo: Optional[_PartMemo] = _PartMemo(
+                    _gate_roles(slot_of, members, extended),
+                    is_float=False,
+                    defer=self.diagnose,
+                )
+            except (_CannotLower, KeyError, TypeError):
+                memo = None
+            reads_union.update(reads)
+            return _TreeTable(
+                [m.name for m in members], _conjunction(gate_exprs), memo
+            )
+
+        tables: list[_TreeTable] = []
+        for members in signatures.values():
+            try:
+                tables.append(lower(members))
+            except _CannotLower:
+                if len(members) == 1:
+                    return None
+                try:
+                    tables.extend(lower([member]) for member in members)
+                except _CannotLower:
+                    return None
+        self._insta_read_slots = frozenset(reads_union)
+        return tables
 
     def _insta_enabled_rows(self, matrix, rows: np.ndarray) -> np.ndarray:
         """(len(rows),) bool: some instantaneous activity enabled, per row.
 
-        Served from the insta memo table where possible (misses evaluate
-        the lowered gate trees on just the missing rows, so cached bits
-        match direct evaluation exactly); falls back to full-matrix
-        evaluation once the memo dies at the span cap.
+        The OR of the gate-code groups' table lookups; a group without a
+        live table (roles underivable, or the span past the cap)
+        evaluates its gate trees on just ``rows``.
         """
-        memo = self._insta_memo
-        if memo is not None:
-            idx = memo.index(matrix, rows, {})
-            if idx is None:
-                self._insta_memo = None
-            else:
-                vals = memo.table[idx]
-                miss = vals == 2
-                if miss.any():
-                    local = np.flatnonzero(miss)
-                    sub = matrix[rows[local]]
-                    memo.table[idx[local]] = self._any_insta_enabled(
-                        sub, len(local)
-                    )
-                    vals = memo.table[idx]
-                return vals != 0
-        return self._any_insta_enabled(matrix, matrix.shape[0])[rows]
+        cache: dict = {}
+        enabled = np.zeros(len(rows), dtype=bool)
+        for table in self._insta_tables:  # type: ignore[union-attr]
+            vals = table.lookup(matrix, rows, cache)
+            if vals is None:
+                vals = table.block(matrix[rows])
+            enabled |= vals.any(axis=1) if vals.ndim == 2 else vals != 0
+        return enabled
 
     def _lowered_stop(self, stop_predicate) -> Optional[Callable]:
         """Column expression for ``stop_predicate``, or ``None``."""
@@ -683,11 +683,41 @@ class SteppedJumpEngine(BatchedJumpEngine):
             lowered += sum(1 for program in programs if program is not None)
         stats["fire_cases"] = cases
         stats["fire_lowered"] = lowered
-        stats["insta_lowered"] = int(self._insta_lowered is not None)
+        insta = self._insta_tables or []
+        stats["insta_lowered"] = int(self._insta_tables is not None)
+        stats["insta_groups"] = len(insta)
+        stats["insta_tabulated"] = sum(
+            1 for table in insta
+            if table.memo is not None and not table.memo.dead
+        )
         stats["groups_tabulated"] = sum(
             1 for table in self._tables if not table.direct
         )
         return stats
+
+    def kernel_counters(self) -> dict[str, int]:
+        """Lifetime step-loop counters of this engine (always on).
+
+        ``steps`` counts batch steps and ``row_steps`` the rows alive at
+        their start, so occupancy is ``row_steps / (steps * width)``;
+        ``events`` counts timed firings; ``insta_lookups`` and
+        ``insta_fills`` count rows looked up in and filled into the
+        instantaneous-gate tables (once per group); ``insta_scans``
+        counts rows that ran the per-row stabilisation scan; and
+        ``closure_firings`` counts firings replayed through the per-row
+        compiled closures.  Both step loops (this engine's and the
+        multi-point tensor's) update them; no counter touches a stream.
+        """
+        insta = self._insta_tables or []
+        return {
+            "steps": self._steps,
+            "row_steps": self._row_steps,
+            "events": self._kernel_events,
+            "insta_lookups": sum(table.lookups for table in insta),
+            "insta_fills": sum(table.fills for table in insta),
+            "insta_scans": self._insta_scans,
+            "closure_firings": self._closure_firings,
+        }
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -720,7 +750,7 @@ class SteppedJumpEngine(BatchedJumpEngine):
         has_bias = self._has_bias
         insta_reads = compiled.insta_reads_mask
         have_insta = bool(self._insta)
-        insta_lowered = self._insta_lowered
+        insta_tables = self._insta_tables
         stop_expr = self._lowered_stop(stop_predicate)
         fire_programs = self._fire_programs
         choosers = self._choosers
@@ -829,6 +859,8 @@ class SteppedJumpEngine(BatchedJumpEngine):
 
         # --- batch-step loop ------------------------------------------
         while alive:
+            self._steps += 1
+            self._row_steps += len(alive)
             full = len(alive) == n_rows
             Cb = np.cumsum(Rb if full else Rb[alive], axis=1)
             if has_bias:
@@ -944,6 +976,7 @@ class SteppedJumpEngine(BatchedJumpEngine):
                                     changed_masks[row] |= (
                                         cursor.clear_changed_mask()
                                     )
+                                    self._closure_firings += 1
                             continue
                         krows = np.fromiter(
                             (fired_rows[k] for k in ks),
@@ -959,6 +992,7 @@ class SteppedJumpEngine(BatchedJumpEngine):
                             continue
                     # unlowered case, or a row would validate-fail:
                     # compiled closures reproduce the exact semantics
+                    self._closure_firings += len(ks)
                     for k in ks:
                         row = fired_rows[k]
                         sync(row)
@@ -978,18 +1012,18 @@ class SteppedJumpEngine(BatchedJumpEngine):
                     if changed_masks[row] & insta_reads
                 ]
                 if triggered:
-                    if insta_lowered is not None:
+                    if insta_tables is not None:
                         with np.errstate(all="ignore"):
                             enabled = self._insta_enabled_rows(
                                 matrix,
                                 np.asarray(triggered, dtype=np.intp),
                             )
                         scan_rows = [
-                            row for row, ok in zip(triggered, enabled)
-                            if ok
+                            triggered[k] for k in np.flatnonzero(enabled)
                         ]
                     else:
                         scan_rows = triggered
+                    self._insta_scans += len(scan_rows)
                     for row in scan_rows:
                         sync(row)
                         cursor.set_row(row)
@@ -1001,6 +1035,10 @@ class SteppedJumpEngine(BatchedJumpEngine):
             # fallback-rate refresh for survivors, lowered refresh
             if stop_predicate is not None:
                 if stop_expr is not None:
+                    # whole-matrix on purpose: the predicate reads a
+                    # column view for free, while gathering the fired
+                    # rows first (matrix[fired_rows]) costs 3-12x more
+                    # at B = 256 (docs/engine_perf.md)
                     with np.errstate(all="ignore"):
                         hit = _bool_rows(stop_expr(matrix), n_rows)
                     for row in fired_rows:

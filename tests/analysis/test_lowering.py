@@ -26,6 +26,7 @@ from repro.san import (
 )
 from repro.stochastic.distributions import Deterministic
 from tests.conftest import make_two_state_model
+from tests.san.test_case_memo import make_wide_alarm_model
 
 
 def rules_of(report) -> set:
@@ -242,6 +243,25 @@ class TestTensorRules:
         diags = [d for d in report.diagnostics if d.rule_id == "TZ002"]
         assert diags and "per-row" in diags[0].message
 
+    def test_untabulated_instantaneous_gates_fire_lw003_and_tz002(self):
+        # an instantaneous gate over 21 shared counters: the gate table
+        # would need 2^21+ entries, so the instantaneous check runs the
+        # gate trees on every triggered row
+        model, *_ = make_wide_alarm_model(21)
+        report = lint(model, families=("lowering", "tensor"))
+        lw003 = [d for d in report.diagnostics if d.rule_id == "LW003"]
+        assert lw003 and "instantaneous gate table" in lw003[0].message
+        assert lw003[0].activity == "alarm"
+        tz002 = [d for d in report.diagnostics if d.rule_id == "TZ002"]
+        assert any(
+            "instantaneous gates not tabulated" in d.message for d in tz002
+        )
+
+    def test_tabulated_instantaneous_gates_are_clean(self):
+        model, *_ = make_wide_alarm_model(4)
+        report = lint(model, families=("lowering", "tensor"))
+        assert not {"LW003", "TZ002"} & rules_of(report)
+
     def test_tz003_no_timed_activities(self):
         diags = list(check_tensor(model_untimed()))
         assert [d.rule_id for d in diags] == ["TZ003"]
@@ -319,6 +339,20 @@ class TestKernelIR:
     def test_none_for_inapplicable_models(self):
         assert extract_kernel_ir(model_untimed()) is None
         assert extract_kernel_ir(model_non_markovian()) is None
+
+    def test_insta_group_table_specs(self):
+        ir = extract_kernel_ir(make_wide_alarm_model(21)[0])
+        [group] = ir.insta["groups"]
+        assert group["members"] == ["alarm"]
+        assert group["table"]["dead"] is True
+        assert len(group["table"]["shared_slots"]) == 22
+        assert ir.stats["insta_tabulated"] == 0
+
+        ir = extract_kernel_ir(make_wide_alarm_model(4)[0])
+        [group] = ir.insta["groups"]
+        assert group["table"]["dead"] is False
+        assert group["table"]["span"] == 2 ** 5
+        assert ir.stats["insta_tabulated"] == 1
 
     def test_fallback_reasons_recorded(self):
         ir = extract_kernel_ir(model_resisting_gate())

@@ -9,6 +9,7 @@ from repro.san import (
 )
 from repro.stochastic import StreamFactory
 from tests.conftest import make_two_state_model
+from tests.san.test_compiled_equivalence import make_branchy_model
 
 
 @pytest.fixture(params=[BatchedJumpEngine, SteppedJumpEngine])
@@ -48,21 +49,28 @@ class TestDiagnoseMode:
             engine.simulate()
 
     def test_stepped_defers_table_allocation(self):
-        model, *_ = make_two_state_model()
+        model, *_ = make_branchy_model()
+
+        def parts(engine):
+            # refresh-table parts, then the instantaneous gate tables
+            return [
+                part for table in engine._tables
+                for part in (table.gate, table.rate)
+            ] + list(engine._insta_tables)
+
         diagnose = SteppedJumpEngine(model, diagnose=True)
         runtime = SteppedJumpEngine(model)
-        for table in diagnose._tables:
-            for part in (table.gate, table.rate):
-                assert part is None or part.table is None
+        assert diagnose._insta_tables
+        for part in parts(diagnose):
+            assert part is None or part.memo.table is None
         # the spec side (spans, bounds) must match the runtime compile
-        for dt, rt in zip(diagnose._tables, runtime._tables):
-            for dp, rp in zip((dt.gate, dt.rate), (rt.gate, rt.rate)):
-                if dp is None:
-                    assert rp is None
-                    continue
-                assert dp.span == rp.span
-                assert dp.bounds == rp.bounds
-                assert dp.shared_slots == rp.shared_slots
+        for dp, rp in zip(parts(diagnose), parts(runtime)):
+            if dp is None:
+                assert rp is None
+                continue
+            assert dp.memo.span == rp.memo.span
+            assert dp.memo.bounds == rp.memo.bounds
+            assert dp.memo.shared_slots == rp.memo.shared_slots
 
     def test_tensor_compatible_rejects_diagnose_engines(self):
         model, *_ = make_two_state_model()

@@ -325,7 +325,7 @@ def test_negative_rate_raises_like_direct_refresh():
 def test_ahs_models_fully_lowered(strategy, n):
     """VEC001–VEC003 clean: every built-in AHS model at paper-scale n
     lowers completely on the batch engines — no `_CannotLower` fallbacks,
-    whole-step insta gating, and every rate group tabulated."""
+    tabulated insta gating, and every rate group tabulated."""
     ahs = build_composed_model(
         AHSParameters(max_platoon_size=n, strategy=strategy)
     )
@@ -338,6 +338,10 @@ def test_ahs_models_fully_lowered(strategy, n):
     # delta-matrix programs; branchy ones replay per row by design
     assert 0 < stats["fire_lowered"] < stats["fire_cases"]
     assert stats["insta_lowered"] == 1
+    # one instantaneous-gate table per gate-code group (the configure
+    # replicas and to_KO), each within the span cap
+    assert stats["insta_groups"] == 2
+    assert stats["insta_tabulated"] == stats["insta_groups"]
     assert stats["groups_tabulated"] == len(engine._tables)
 
 
