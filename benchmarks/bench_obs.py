@@ -51,6 +51,23 @@ def _observation(mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _fastest_interleaved(modes, repeats: int, time_pass) -> dict:
+    """Fastest of ``repeats`` timed passes per mode, the modes interleaved.
+
+    Every repeat times each mode once, in forward order on even repeats
+    and reversed on odd ones, so drift in host speed during the
+    measurement reaches every mode instead of only the last one timed.
+    """
+    passes = {mode: [] for mode in modes}
+    for repeat in range(repeats):
+        for mode in modes if repeat % 2 == 0 else modes[::-1]:
+            passes[mode].append(time_pass(mode))
+    return {
+        mode: min(rows, key=lambda row: row["elapsed_seconds"])
+        for mode, rows in passes.items()
+    }
+
+
 def _time_mode(model, mode: str, replications: int, horizon: float) -> dict:
     """Throughput of the compiled engine with one instrumentation mode."""
     observer = _observation(mode)
@@ -76,19 +93,18 @@ def measure_overhead(
 ) -> dict:
     """Benchmark all instrumentation modes on one composed model.
 
-    Each mode runs ``repeats`` times over the same seeds and the fastest
-    pass is kept (overhead is a minimum-cost question; the slower passes
-    measure machine noise).  All modes must report identical event counts.
+    Each mode runs ``repeats`` times over the same seeds, interleaved
+    with the other modes, and the fastest pass is kept (overhead is a
+    minimum-cost question; the slower passes measure machine noise).
+    All modes must report identical event counts.
     """
     model = build_composed_model(AHSParameters(max_platoon_size=size)).model
     modes = ("off", "counts", "full+trace")
-    results = {}
-    for mode in modes:
-        passes = [
-            _time_mode(model, mode, replications, horizon)
-            for _ in range(repeats)
-        ]
-        results[mode] = min(passes, key=lambda row: row["elapsed_seconds"])
+    results = _fastest_interleaved(
+        modes,
+        repeats,
+        lambda mode: _time_mode(model, mode, replications, horizon),
+    )
     baseline = results["off"]
     for mode in modes[1:]:
         if results[mode]["events"] != baseline["events"]:
@@ -166,16 +182,14 @@ def measure_ledger_overhead(
     """
     results = {}
     for engine in engines:
-        rows = {}
-        for ledgered in (False, True):
-            passes = [
-                _time_ledgered_run(
-                    engine, size, replications, horizon, ledgered
-                )
-                for _ in range(repeats)
-            ]
-            best = min(passes, key=lambda row: row["elapsed_seconds"])
-            rows[best["mode"]] = best
+        best = _fastest_interleaved(
+            (False, True),
+            repeats,
+            lambda ledgered: _time_ledgered_run(
+                engine, size, replications, horizon, ledgered
+            ),
+        )
+        rows = {row["mode"]: row for row in best.values()}
         if rows["ledger"]["estimate"] != rows["off"]["estimate"]:
             raise AssertionError(
                 f"engine {engine!r}: ledger changed the estimate "

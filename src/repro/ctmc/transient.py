@@ -78,7 +78,8 @@ def transient_distribution(
 
     # Slight inflation of Λ improves numerical behaviour of P's diagonal.
     lam *= 1.0 + 1e-9
-    transition = chain.embedded_dtmc(lam)
+    # ``v @ P`` would rebuild ``P.T`` on every product; transpose once
+    transition_t = chain.embedded_dtmc(lam).transpose()
 
     rates = lam * times_arr
     k_max = max(_truncation_point(float(r), tol) for r in rates)
@@ -107,7 +108,7 @@ def transient_distribution(
             if float(np.abs(v - previous).sum()) < steady_tol:
                 break
         previous = v
-        v = v @ transition
+        v = transition_t @ v
         # Guard tiny negative round-off so probabilities stay probabilities.
         np.clip(v, 0.0, None, out=v)
 
@@ -152,7 +153,7 @@ def accumulated_reward(
         return float(chain.initial @ reward) * times_arr
 
     lam *= 1.0 + 1e-9
-    transition = chain.embedded_dtmc(lam)
+    transition_t = chain.embedded_dtmc(lam).transpose()
     rates = lam * times_arr
     k_max = max(_truncation_point(float(r), tol) for r in rates)
     log_rates = np.where(rates > 0, np.log(np.maximum(rates, 1e-300)), 0.0)
@@ -177,7 +178,7 @@ def accumulated_reward(
         result += survival * float(v @ reward)
         if (survival <= tol).all():
             break
-        v = v @ transition
+        v = transition_t @ v
         np.clip(v, 0.0, None, out=v)
     return result / lam
 

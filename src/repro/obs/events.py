@@ -180,11 +180,18 @@ class CacheHit(_Event):
 
 @dataclass(frozen=True)
 class CacheMiss(_Event):
-    """A content-addressed cache lookup missed."""
+    """A content-addressed cache lookup missed.
+
+    ``reason`` says why a result-cache lookup missed: ``"absent"`` (no
+    entry), ``"corrupt"`` (an entry that is not a decodable record) or
+    ``"key-mismatch"`` (a record stored under another key).  It is None
+    for worker-context evictions.
+    """
 
     scope: str
     chunk_id: Optional[str] = None
     key: Optional[str] = None
+    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.core.parameters import AHSParameters
+from repro.stats.confidence import normal_quantile
 
 __all__ = [
     "SweepPoint",
@@ -185,7 +184,7 @@ class SurrogatePrior:
         if self.rarity is None or self.rarity <= 0.0:
             return None
         p = min(self.rarity, 1.0 - 1e-12)
-        z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+        z = normal_quantile(0.5 + confidence / 2.0)
         n = z * z * (1.0 - p) / (p * target_relative_ci * target_relative_ci)
         return max(int(math.ceil(n)), 1)
 

@@ -24,7 +24,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -104,6 +104,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        #: why the latest :meth:`get` missed: ``"absent"`` (no entry),
+        #: ``"corrupt"`` (not a decodable record) or ``"key-mismatch"``
+        #: (a record stored under another key); None after a hit
+        self.last_miss: Optional[str] = None
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
@@ -113,16 +117,47 @@ class ResultCache:
         """Whether an entry exists for ``key`` (no counter side effects)."""
         return self._path(key).is_file()
 
-    def get(self, key: str) -> Optional[dict]:
-        """The stored record for ``key``, or ``None`` (counted as a miss)."""
-        path = self._path(key)
+    def get(
+        self, key: str, decode: Optional[Callable[[dict], Any]] = None
+    ) -> Any:
+        """The stored payload for ``key``, or ``None`` (counted as a miss).
+
+        Only a JSON object whose ``key`` is the requested one and whose
+        ``payload`` is an object is a hit; ``decode``, when given, turns
+        that payload into the returned value, and a payload it cannot
+        decode is a miss too.  :attr:`last_miss` records why a lookup
+        missed, so a copied, renamed or truncated file is never served.
+        """
         try:
-            record = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
+            text = self._path(key).read_text()
+        except FileNotFoundError:
+            return self._miss("absent")
+        except OSError:
+            return self._miss("corrupt")
+        try:
+            record = json.loads(text)
+        except ValueError:
+            return self._miss("corrupt")
+        if not isinstance(record, dict):
+            return self._miss("corrupt")
+        if record.get("key") != key:
+            return self._miss("key-mismatch")
+        payload = record.get("payload")
+        if not isinstance(payload, dict):
+            return self._miss("corrupt")
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except (KeyError, TypeError, ValueError):
+                return self._miss("corrupt")
         self.hits += 1
-        return record.get("payload")
+        self.last_miss = None
+        return payload
+
+    def _miss(self, reason: str) -> None:
+        self.misses += 1
+        self.last_miss = reason
+        return None
 
     def put(self, key: str, payload: dict) -> Path:
         """Atomically store ``payload`` under ``key``; returns the path."""

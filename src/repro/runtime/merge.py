@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.obs.metrics import merge_metric_dicts
-from repro.stats.confidence import ConfidenceInterval
+from repro.stats.confidence import ConfidenceInterval, t_quantile
 
 __all__ = [
     "ChunkSummary",
@@ -189,7 +188,7 @@ def pooled_intervals(
             for m in np.atleast_1d(summary.mean)
         ]
     alpha = 1.0 - confidence
-    quantile = float(scipy_stats.t.ppf(1.0 - alpha / 2.0, df=summary.n - 1))
+    quantile = t_quantile(summary.n - 1, 1.0 - alpha / 2.0)
     std = np.sqrt(summary.m2 / (summary.n - 1))
     halves = quantile * std / math.sqrt(summary.n)
     return [

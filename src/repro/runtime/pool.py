@@ -728,7 +728,9 @@ class ParallelRunner:
                 self._emit(
                     CacheHit(scope="run", key=key)
                     if record is not None
-                    else CacheMiss(scope="run", key=key)
+                    else CacheMiss(
+                        scope="run", key=key, reason=self.cache.last_miss
+                    )
                 )
             if record is not None:
                 telemetry.activity_metrics = record.get("activity_metrics")
@@ -902,8 +904,10 @@ class ParallelRunner:
             if use_cache:
                 entry_key = _chunk_cache_key(task, plan, spec)
                 with profile_span(self.profiler, "cache"):
-                    record = self.cache.get(entry_key)
-                telemetry.record_cache(hit=record is not None)
+                    summary = self.cache.get(
+                        entry_key, decode=ChunkSummary.from_cache_dict
+                    )
+                telemetry.record_cache(hit=summary is not None)
                 if self.events is not None:
                     self._emit(
                         CacheHit(
@@ -911,15 +915,16 @@ class ParallelRunner:
                             chunk_id=_chunk_id(job_key),
                             key=entry_key,
                         )
-                        if record is not None
+                        if summary is not None
                         else CacheMiss(
                             scope="chunk",
                             chunk_id=_chunk_id(job_key),
                             key=entry_key,
+                            reason=self.cache.last_miss,
                         )
                     )
-                if record is not None:
-                    cached.append(ChunkSummary.from_cache_dict(record))
+                if summary is not None:
+                    cached.append(summary)
                     continue
                 jobs[job_key] = (
                     _execute_chunk_cached,
@@ -1047,6 +1052,7 @@ class ParallelRunner:
                             scope="point",
                             chunk_id=f"point-{index}",
                             key=key,
+                            reason=self.cache.last_miss,
                         )
                     )
                 if record is not None:

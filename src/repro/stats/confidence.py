@@ -7,9 +7,30 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
-__all__ = ["ConfidenceInterval", "normal_ci", "relative_precision_reached"]
+__all__ = [
+    "ConfidenceInterval",
+    "normal_ci",
+    "relative_precision_reached",
+    "t_quantile",
+    "normal_quantile",
+]
+
+
+def t_quantile(df: float, q: float) -> float:
+    """Student-t quantile: the ``q``-th quantile with ``df`` degrees of freedom.
+
+    Equals ``scipy.stats.t.ppf(q, df)`` bit for bit (that method's
+    ``_ppf`` is this same ``stdtrit`` call), without importing
+    :mod:`scipy.stats`, which dominates a cold start.
+    """
+    return float(special.stdtrit(df, q))
+
+
+def normal_quantile(q: float) -> float:
+    """Standard normal quantile; bit-equal to ``scipy.stats.norm.ppf(q)``."""
+    return float(special.ndtri(q))
 
 
 @dataclass(frozen=True)
@@ -67,9 +88,9 @@ def normal_ci(
         return ConfidenceInterval(mean, math.inf, confidence, 1)
     alpha = 1.0 - confidence
     if use_t:
-        quantile = float(scipy_stats.t.ppf(1.0 - alpha / 2.0, df=data.size - 1))
+        quantile = t_quantile(data.size - 1, 1.0 - alpha / 2.0)
     else:
-        quantile = float(scipy_stats.norm.ppf(1.0 - alpha / 2.0))
+        quantile = normal_quantile(1.0 - alpha / 2.0)
     half = quantile * float(data.std(ddof=1)) / math.sqrt(data.size)
     return ConfidenceInterval(mean, half, confidence, int(data.size))
 

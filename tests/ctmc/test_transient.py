@@ -109,3 +109,64 @@ class TestTransientReward:
         chain = CTMC(random_generator(3, 5))
         with pytest.raises(ValueError):
             transient_reward(chain, [1.0], np.array([1.0, 2.0]))
+
+
+class _RightProduct:
+    """Stands in for ``P.T``: ``self @ v`` computes ``v @ P`` instead."""
+
+    def __init__(self, transition):
+        self.transition = transition
+
+    def __matmul__(self, v):
+        return v @ self.transition
+
+
+class _UntransposedDTMC:
+    """An embedded DTMC whose transpose multiplies from the right."""
+
+    def __init__(self, transition):
+        self.transition = transition
+
+    def transpose(self):
+        return _RightProduct(self.transition)
+
+
+class TestTransposedProduct:
+    """``P.T @ v`` (transposed once) equals the ``v @ P`` loop bit for bit."""
+
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        from repro.core import AHSParameters
+        from repro.core.analytical import AnalyticalEngine
+
+        params = AHSParameters(max_platoon_size=2, base_failure_rate=1e-3)
+        chain = AnalyticalEngine(params).failure_chain.chain
+        reference = AnalyticalEngine(params).failure_chain.chain
+        embedded = reference.embedded_dtmc
+        monkeypatch.setattr(
+            reference,
+            "embedded_dtmc",
+            lambda lam: _UntransposedDTMC(embedded(lam)),
+        )
+        return chain, reference
+
+    @pytest.mark.parametrize("steady_tol", [0.0, 1e-14])
+    def test_transient_distribution(self, chains, steady_tol):
+        chain, reference = chains
+        times = (0.5, 2.0, 6.0, 10.0)
+        ours = transient_distribution(chain, times, steady_tol=steady_tol)
+        expected = transient_distribution(
+            reference, times, steady_tol=steady_tol
+        )
+        assert np.array_equal(ours, expected)
+
+    def test_accumulated_reward(self, chains):
+        from repro.ctmc import accumulated_reward
+
+        chain, reference = chains
+        reward = np.random.default_rng(3).uniform(size=chain.n_states)
+        times = (0.5, 2.0, 6.0, 10.0)
+        assert np.array_equal(
+            accumulated_reward(chain, times, reward),
+            accumulated_reward(reference, times, reward),
+        )

@@ -98,6 +98,52 @@ class TestResultCache:
         path = cache.put(key, {"v": 1})
         path.write_text("{not json")
         assert cache.get(key) is None
+        assert cache.last_miss == "corrupt"
+
+    def test_absent_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.get(cache_key({"x": 4})) is None
+        assert cache.last_miss == "absent"
+
+    def test_copied_entry_is_a_key_mismatch(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        stored, wanted = cache_key({"x": 5}), cache_key({"x": 6})
+        source = cache.put(stored, {"v": 1})
+        target = tmp_path / wanted[:2] / f"{wanted}.json"
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source.read_text())
+        assert cache.get(wanted) is None
+        assert cache.last_miss == "key-mismatch"
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            lambda key: {"key": key, "version": "1.0.0"},  # no payload
+            lambda key: {"key": key, "payload": [1, 2]},  # payload not an object
+            lambda key: [key, {"v": 1}],  # valid JSON, not an object
+            lambda key: "a string",
+        ],
+        ids=["no-payload", "list-payload", "list-record", "string-record"],
+    )
+    def test_record_without_an_object_payload_is_a_miss(self, tmp_path, record):
+        cache = ResultCache(tmp_path)
+        key = cache_key({"x": 7})
+        path = cache.put(key, {"v": 1})
+        path.write_text(json.dumps(record(key)))
+        assert cache.get(key) is None
+        assert cache.last_miss == "corrupt"
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_undecodable_payload_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache_key({"x": 8})
+        cache.put(key, {"v": 1})
+        assert cache.get(key, decode=lambda payload: payload["n"]) is None
+        assert cache.last_miss == "corrupt"
+        assert cache.get(key, decode=lambda payload: payload["v"] + 1) == 2
+        assert cache.last_miss is None
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_hit_rate_with_no_lookups(self, tmp_path):
         assert ResultCache(tmp_path).hit_rate == 0.0

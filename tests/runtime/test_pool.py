@@ -1,5 +1,6 @@
 """Tests for repro.runtime.pool — determinism, stopping rule, fault tolerance."""
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,6 +65,19 @@ class CrashOutsideParentTask(NormalMeanTask):
 
 
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SquarePointTask:
+    """Sweep-map point with a cache token."""
+
+    x: float = 3.0
+
+    def __call__(self):
+        return [self.x * self.x]
+
+    def cache_token(self):
+        return {"kind": "test-square", "x": self.x}
+
+
 def _run(task, workers, **kwargs):
     defaults = dict(seed=2009, n_replications=120)
     defaults.update(kwargs)
@@ -222,6 +236,88 @@ class TestCachedRuns:
         with ParallelRunner(workers=2, chunk_size=30, cache=cache) as runner:
             warm = runner.run(task, seed=8, n_replications=90)
         assert warm.from_cache
+
+    def test_damaged_chunk_entries_rerun_with_reasons(self, tmp_path):
+        from repro.obs import EventBus
+
+        task = NormalMeanTask()
+        with ParallelRunner(workers=1, chunk_size=30) as runner:
+            fresh = runner.run(task, seed=8, n_replications=150)
+
+        def resume(records=None):
+            bus = None if records is None else EventBus(
+                "resume", sinks=[records.append]
+            )
+            with ParallelRunner(
+                workers=1, chunk_size=30, cache=ResultCache(tmp_path),
+                chunk_cache=True, events=bus,
+            ) as runner:
+                return runner.run(task, seed=8, n_replications=150)
+
+        def chunk_entries():
+            # drop the whole-run record so the next run consults chunks
+            entries = {}
+            for path in tmp_path.glob("??/*.json"):
+                payload = json.loads(path.read_text())["payload"]
+                if "chunk_index" in payload:
+                    entries[payload["chunk_index"]] = path
+                else:
+                    path.unlink()
+            return entries
+
+        resume()
+        entries = chunk_entries()
+        assert sorted(entries) == [0, 1, 2, 3, 4]
+        # a copied file, a record with no payload, valid JSON that is not
+        # an object, and a chunk payload with no ``n``
+        entries[0].write_text(entries[1].read_text())
+        entries[1].write_text(json.dumps({"key": entries[1].stem}))
+        entries[2].write_text(json.dumps([1, 2]))
+        record = json.loads(entries[3].read_text())
+        del record["payload"]["n"]
+        entries[3].write_text(json.dumps(record))
+
+        records = []
+        resumed = resume(records)
+        assert np.array_equal(resumed.values, fresh.values)
+        assert np.array_equal(resumed.half_widths, fresh.half_widths)
+        misses = {
+            r["data"].get("chunk_id"): r["data"]["reason"]
+            for r in records
+            if r["event"] == "CacheMiss"
+        }
+        assert misses == {
+            None: "absent",  # the whole-run record
+            "chunk-0": "key-mismatch",
+            "chunk-1": "corrupt",
+            "chunk-2": "corrupt",
+            "chunk-3": "corrupt",
+        }
+        assert resumed.telemetry.cache_hits == 1  # chunk 4
+
+        # the reruns overwrote every damaged entry
+        chunk_entries()
+        again = resume()
+        assert again.telemetry.cache_hits == 5
+        assert np.array_equal(again.values, fresh.values)
+
+    def test_point_miss_carries_its_reason(self, tmp_path):
+        from repro.obs import EventBus
+
+        tasks = [SquarePointTask(2.0), SquarePointTask(3.0)]
+        with ParallelRunner(workers=1, cache=ResultCache(tmp_path)) as runner:
+            assert runner.map(tasks) == [[4.0], [9.0]]
+        first, second = sorted(tmp_path.glob("??/*.json"))
+        second.write_text(first.read_text())
+        records = []
+        bus = EventBus("points", sinks=[records.append])
+        with ParallelRunner(
+            workers=1, cache=ResultCache(tmp_path), events=bus
+        ) as runner:
+            assert runner.map(tasks) == [[4.0], [9.0]]
+        assert [
+            r["data"]["reason"] for r in records if r["event"] == "CacheMiss"
+        ] == ["key-mismatch"]
 
     def test_seed_and_budget_are_part_of_the_key(self, tmp_path):
         cache = ResultCache(tmp_path)

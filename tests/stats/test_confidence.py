@@ -10,6 +10,7 @@ from repro.stats import (
     normal_ci,
     relative_precision_reached,
 )
+from repro.stats.confidence import normal_quantile, t_quantile
 from repro.stochastic import StreamFactory
 
 
@@ -86,3 +87,25 @@ class TestRelativePrecision:
         interval = ConfidenceInterval(1.0, 0.01, 0.95, 100)
         with pytest.raises(ValueError):
             relative_precision_reached(interval, 0.0)
+
+
+class TestQuantiles:
+    """The ``scipy.special`` quantiles equal ``scipy.stats`` bit for bit."""
+
+    LEVELS = sorted(
+        {float(q) for q in np.linspace(0.001, 0.999, 999)}
+        | {0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9999}
+    )
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 255, 2815, 10**4, 10**6])
+    def test_t_quantile_is_t_ppf(self, df):
+        from scipy import stats
+
+        ours = [t_quantile(df, q) for q in self.LEVELS]
+        assert ours == [float(stats.t.ppf(q, df=df)) for q in self.LEVELS]
+
+    def test_normal_quantile_is_norm_ppf(self):
+        from scipy import stats
+
+        ours = [normal_quantile(q) for q in self.LEVELS]
+        assert ours == [float(stats.norm.ppf(q)) for q in self.LEVELS]
