@@ -13,6 +13,13 @@ counter-level overhead exceeds the budget (10 % by default; the CI
 obs-smoke gate).  Event counts must match exactly across all modes:
 instrumentation never touches the RNG stream.
 
+The gated overhead is a paired statistic.  Each repeat times one pass
+per mode, about a second long in the smoke configuration, with the
+modes interleaved run by run; the overhead is the median, over
+repeats, of a mode's pass time divided by the same repeat's ``off``
+pass, minus one.  Host noise on a shared machine changes speed within
+a second, so only a fine interleaving pairs the modes well.
+
 A second section times the **run ledger** (event bus + JSONL sink) around
 whole serial ``unsafety`` runs on both the compiled and the stepped
 engine.  Ledger emission is per-chunk driver-side bookkeeping — the
@@ -23,6 +30,7 @@ ledger on or off.
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -51,79 +59,117 @@ def _observation(mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _fastest_interleaved(modes, repeats: int, time_pass) -> dict:
-    """Fastest of ``repeats`` timed passes per mode, the modes interleaved.
+def _interleaved_pass(modes, units: int, time_unit) -> dict:
+    """One pass per mode, ``units`` timed units long, interleaved by unit.
 
-    Every repeat times each mode once, in forward order on even repeats
-    and reversed on odd ones, so drift in host speed during the
-    measurement reaches every mode instead of only the last one timed.
+    Unit ``i`` runs in every mode back to back, in an order rotated by
+    ``i``, so a change in host speed reaches every mode's pass alike.
+    (Whole passes alternated a second apart paired badly: on a shared
+    2-CPU host two identical one-second passes differed by up to 25 %.)
+    Returns each mode's ``time_unit(mode, i)`` results in unit order.
     """
-    passes = {mode: [] for mode in modes}
-    for repeat in range(repeats):
-        for mode in modes if repeat % 2 == 0 else modes[::-1]:
-            passes[mode].append(time_pass(mode))
-    return {
-        mode: min(rows, key=lambda row: row["elapsed_seconds"])
-        for mode, rows in passes.items()
-    }
+    rows: dict = {mode: [] for mode in modes}
+    for i in range(units):
+        shift = i % len(modes)
+        for mode in modes[shift:] + modes[:shift]:
+            rows[mode].append(time_unit(mode, i))
+    return rows
 
 
-def _time_mode(model, mode: str, replications: int, horizon: float) -> dict:
-    """Throughput of the compiled engine with one instrumentation mode."""
-    observer = _observation(mode)
-    simulator = make_jump_engine(model, engine="compiled", observer=observer)
-    factory = StreamFactory(2024)
-    streams = factory.stream_batch("bench", replications)
-    started = time.perf_counter()
-    firings = sum(
-        simulator.run(stream, horizon).firings for stream in streams
-    )
-    elapsed = time.perf_counter() - started
-    return {
-        "mode": mode,
-        "replications": replications,
-        "events": int(firings),
-        "elapsed_seconds": elapsed,
-        "events_per_sec": firings / elapsed if elapsed > 0 else 0.0,
+def _fastest(rows: list) -> dict:
+    return min(rows, key=lambda row: row["elapsed_seconds"])
+
+
+def _paired_ratios(rows: list, baseline: list) -> list:
+    """Per repeat, a mode's pass time over the same repeat's baseline."""
+    return [
+        row["elapsed_seconds"] / base["elapsed_seconds"]
+        for row, base in zip(rows, baseline)
+    ]
+
+
+def _paired_overhead(ratios: list) -> float:
+    """The gated overhead: the median paired ratio, minus one.
+
+    Interleaving cancels most host noise within a repeat, and the median
+    drops the repeats a hiccup still split.
+    """
+    return statistics.median(ratios) - 1.0
+
+
+def _time_pass(model, modes, replications: int, horizon: float) -> dict:
+    """One pass of the compiled engine per mode, interleaved by replication."""
+    simulators = {
+        mode: make_jump_engine(model, engine="compiled",
+                               observer=_observation(mode))
+        for mode in modes
     }
+    streams = {
+        mode: StreamFactory(2024).stream_batch("bench", replications)
+        for mode in modes
+    }
+
+    def time_run(mode: str, i: int) -> tuple:
+        started = time.perf_counter()
+        run = simulators[mode].run(streams[mode][i], horizon)
+        return time.perf_counter() - started, run.firings
+
+    rows = {}
+    for mode, runs in _interleaved_pass(
+        modes, replications, time_run
+    ).items():
+        elapsed = sum(seconds for seconds, _ in runs)
+        firings = sum(events for _, events in runs)
+        rows[mode] = {
+            "mode": mode,
+            "replications": replications,
+            "events": int(firings),
+            "elapsed_seconds": elapsed,
+            "events_per_sec": firings / elapsed if elapsed > 0 else 0.0,
+        }
+    return rows
 
 
 def measure_overhead(
-    size: int = 10, replications: int = 40, horizon: float = 2.0, repeats: int = 3
+    size: int = 10, replications: int = 40, horizon: float = 2.0, repeats: int = 5
 ) -> dict:
     """Benchmark all instrumentation modes on one composed model.
 
-    Each mode runs ``repeats`` times over the same seeds, interleaved
-    with the other modes, and the fastest pass is kept (overhead is a
-    minimum-cost question; the slower passes measure machine noise).
-    All modes must report identical event counts.
+    Each repeat times one pass per mode over the same seeds, the modes
+    interleaved replication by replication.  The overhead is the paired
+    statistic of :func:`_paired_overhead`; ``modes`` reports each mode's
+    fastest pass.  Every pass must report the same event count.
     """
     model = build_composed_model(AHSParameters(max_platoon_size=size)).model
     modes = ("off", "counts", "full+trace")
-    results = _fastest_interleaved(
-        modes,
-        repeats,
-        lambda mode: _time_mode(model, mode, replications, horizon),
-    )
-    baseline = results["off"]
-    for mode in modes[1:]:
-        if results[mode]["events"] != baseline["events"]:
-            raise AssertionError(
-                f"mode {mode!r} changed the event count "
-                f"({results[mode]['events']} vs {baseline['events']}): "
-                "instrumentation must not touch the RNG stream"
-            )
+    passes: dict = {mode: [] for mode in modes}
+    for _ in range(repeats):
+        for mode, row in _time_pass(model, modes, replications,
+                                    horizon).items():
+            passes[mode].append(row)
+    expected = passes["off"][0]["events"]
+    for mode, rows in passes.items():
+        for row in rows:
+            if row["events"] != expected:
+                raise AssertionError(
+                    f"mode {mode!r} changed the event count "
+                    f"({row['events']} vs {expected}): "
+                    "instrumentation must not touch the RNG stream"
+                )
+    ratios = {
+        mode: _paired_ratios(passes[mode], passes["off"])
+        for mode in modes[1:]
+    }
     return {
         "max_platoon_size": size,
         "places": len(model.places),
         "timed_activities": len(model.timed_activities),
         "horizon": horizon,
         "repeats": repeats,
-        "modes": results,
+        "modes": {mode: _fastest(rows) for mode, rows in passes.items()},
+        "paired_ratios": ratios,
         "overhead": {
-            mode: results[mode]["elapsed_seconds"] / baseline["elapsed_seconds"]
-            - 1.0
-            for mode in modes[1:]
+            mode: _paired_overhead(values) for mode, values in ratios.items()
         },
     }
 
@@ -155,14 +201,8 @@ def _time_ledgered_run(
         events_emitted = bus.events_emitted
         tmp.cleanup()
     return {
-        "mode": "ledger" if ledgered else "off",
-        "engine": engine,
-        "replications": replications,
         "elapsed_seconds": elapsed,
         "ledger_events": events_emitted,
-        "replications_per_sec": (
-            replications / elapsed if elapsed > 0 else 0.0
-        ),
         "estimate": [repr(value) for value in estimate.values],
     }
 
@@ -171,38 +211,60 @@ def measure_ledger_overhead(
     size: int = 3,
     replications: int = 200,
     horizon: float = 1.0,
-    repeats: int = 3,
+    repeats: int = 5,
+    runs: int = 1,
     engines=LEDGER_ENGINES,
 ) -> dict:
     """Ledger-on vs ledger-off timings of whole serial unsafety runs.
 
-    Same fastest-of-``repeats`` protocol as :func:`measure_overhead`.
-    The estimates of both modes must be bit-identical — the ledger is
-    driver-side I/O and never touches the RNG stream.
+    Same paired protocol as :func:`measure_overhead`, with whole runs of
+    ``replications`` as the interleaved units (the finest grain the
+    ledger switches at): a pass is ``runs`` of them.  Every run's
+    estimate must be bit-identical — the ledger only writes files and
+    never touches the RNG stream.
     """
+    modes = ("off", "ledger")
     results = {}
     for engine in engines:
-        best = _fastest_interleaved(
-            (False, True),
-            repeats,
-            lambda ledgered: _time_ledgered_run(
-                engine, size, replications, horizon, ledgered
-            ),
-        )
-        rows = {row["mode"]: row for row in best.values()}
-        if rows["ledger"]["estimate"] != rows["off"]["estimate"]:
-            raise AssertionError(
-                f"engine {engine!r}: ledger changed the estimate "
-                f"({rows['ledger']['estimate']} vs {rows['off']['estimate']})"
+        passes: dict = {mode: [] for mode in modes}
+        for _ in range(repeats):
+            units = _interleaved_pass(
+                modes,
+                runs,
+                lambda mode, _i: _time_ledgered_run(
+                    engine, size, replications, horizon, mode == "ledger"
+                ),
             )
-        overhead = (
-            rows["ledger"]["elapsed_seconds"] / rows["off"]["elapsed_seconds"]
-            - 1.0
-        )
-        results[engine] = {"modes": rows, "overhead": overhead}
+            for mode, rows in units.items():
+                expected = units["off"][0]["estimate"]
+                for row in rows:
+                    if row["estimate"] != expected:
+                        raise AssertionError(
+                            f"engine {engine!r}: ledger changed the "
+                            f"estimate ({row['estimate']} vs {expected})"
+                        )
+                elapsed = sum(row["elapsed_seconds"] for row in rows)
+                passes[mode].append({
+                    "mode": mode,
+                    "engine": engine,
+                    "replications": replications * runs,
+                    "elapsed_seconds": elapsed,
+                    "ledger_events": sum(row["ledger_events"] for row in rows),
+                    "replications_per_sec": (
+                        replications * runs / elapsed if elapsed > 0 else 0.0
+                    ),
+                    "estimate": expected,
+                })
+        ratios = _paired_ratios(passes["ledger"], passes["off"])
+        results[engine] = {
+            "modes": {mode: _fastest(rows) for mode, rows in passes.items()},
+            "paired_ratios": ratios,
+            "overhead": _paired_overhead(ratios),
+        }
     return {
         "max_platoon_size": size,
         "replications": replications,
+        "runs_per_pass": runs,
         "horizon": horizon,
         "repeats": repeats,
         "engines": results,
@@ -222,8 +284,9 @@ def _render_ledger_table(section: dict) -> str:
         )
     lines.append(
         f"(run ledger around whole serial runs: n="
-        f"{section['max_platoon_size']}, {section['replications']} "
-        f"replications, horizon={section['horizon']}h)"
+        f"{section['max_platoon_size']}, {section['runs_per_pass']} runs "
+        f"of {section['replications']} replications per pass, "
+        f"horizon={section['horizon']}h)"
     )
     return "\n".join(lines)
 
@@ -272,8 +335,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeats",
         type=int,
-        default=3,
-        help="timing passes per mode; the fastest is kept (default: 3)",
+        default=5,
+        help="timing passes per mode, the modes interleaved run by run; "
+        "the overhead is the median paired ratio (default: 5)",
     )
     parser.add_argument(
         "--budget",
@@ -284,7 +348,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fast CI configuration (size 10, 20 replications)",
+        help="CI configuration with passes of about a second (size 10, "
+        "160 replications; ledger passes of 8 runs of 40 replications)",
     )
     parser.add_argument(
         "--json",
@@ -293,15 +358,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     size = 10 if args.smoke else args.size
-    replications = 20 if args.smoke else args.replications
+    replications = 160 if args.smoke else args.replications
 
     row = measure_overhead(size, replications, args.horizon, args.repeats)
     print(_render_table(row))
     ledger_row = measure_ledger_overhead(
         size=3 if args.smoke else 4,
-        replications=120 if args.smoke else 200,
+        replications=40 if args.smoke else 200,
         horizon=args.horizon / 2.0,
         repeats=args.repeats,
+        runs=8 if args.smoke else 1,
     )
     print()
     print(_render_ledger_table(ledger_row))

@@ -180,24 +180,22 @@ class UnsafetySimulationTask:
         """All replications of a chunk through the batched kernel.
 
         Slices the chunk's streams into lockstep batches of
-        ``batch_size``; row ``i`` of the result is bit-identical to
-        ``sample(context, streams[i])`` (the batched engine preserves
-        per-stream draw order at any width).
+        ``batch_size`` and reduces each batch's runs with
+        :meth:`samples_from_runs`; row ``i`` of the result is
+        bit-identical to ``sample(context, streams[i])`` (the batched
+        engine preserves per-stream draw order at any width).
         """
         out = np.zeros((len(streams), len(context.times)), dtype=float)
-        mask = context.scratch_mask
-        if mask is None or len(mask) != len(context.times):
-            mask = np.empty(len(context.times), dtype=bool)
         simulator = context.simulator
-        row = 0
         for start in range(0, len(streams), self.batch_size):
-            chunk = streams[start:start + self.batch_size]
-            for run in simulator.run_batch(
-                chunk, context.horizon, context.predicate
-            ):
-                np.less_equal(run.stop_time, context.times, out=mask)
-                np.copyto(out[row], run.weight, where=mask)
-                row += 1
+            runs = simulator.run_batch(
+                streams[start:start + self.batch_size],
+                context.horizon,
+                context.predicate,
+            )
+            out[start:start + len(runs)] = self.samples_from_runs(
+                context, runs
+            )
         return out
 
     def tensorizable(self) -> bool:
@@ -232,13 +230,13 @@ class UnsafetySimulationTask:
     def samples_from_runs(self, context: _SimContext, runs) -> np.ndarray:
         """Per-replication sample rows from already-executed runs.
 
-        The demux half of :meth:`sample_batch`: a tensorized group run
-        hands back this chunk's :class:`~repro.san.simulator.
-        SimulationRun` slice and this method reduces it with the exact
-        arithmetic ``sample_batch`` applies, so the resulting rows are
-        bit-identical to per-point execution (the stepped engine is
-        width-invariant, which is also why ``batch_size`` is absent from
-        the cache token).
+        The one reduction of per-point and tensorized chunks:
+        :meth:`sample_batch` applies it to each batch it runs, and a
+        tensorized group run hands back this chunk's
+        :class:`~repro.san.simulator.SimulationRun` slice, so the
+        resulting rows are bit-identical either way (the stepped engine
+        is width-invariant, which is also why ``batch_size`` is absent
+        from the cache token).
         """
         out = np.zeros((len(runs), len(context.times)), dtype=float)
         mask = context.scratch_mask

@@ -467,17 +467,19 @@ class _LoweredGroup:
                 Rb[:, self.indices] = block
 
     def refresh_rows(self, M, rows, Ro, Rb, has_bias: bool) -> None:
-        """Row-restricted :meth:`refresh` for cross-point tensor runs.
+        """Row-restricted :meth:`refresh`, the stepped engine's escape.
 
-        A multi-point tensor interleaves rows of *different* models in
-        one matrix, so a full-matrix refresh would scribble this group's
-        rate columns over sibling points' rows (and evaluate its trees
-        on foreign markings).  This variant evaluates the same lowered
-        expressions on the ``rows`` sub-matrix — elementwise ufuncs are
-        bitwise shape-independent, so the written lanes hold exactly the
-        full-matrix values — and writes only those rows.  Callers pass
-        the owning point's *alive* rows, which keeps the negative-rate
-        guard on the same rows the full refresh restricts it to.
+        The stepped engine's step loop refreshes an untabulated group
+        through this method.  A multi-point tensor holds rows of
+        *different* models in one matrix, so a full-matrix refresh would
+        scribble this group's rate columns over sibling points' rows
+        (and evaluate its trees on foreign markings).  This variant
+        evaluates the same lowered expressions on the ``rows``
+        sub-matrix — elementwise ufuncs are bitwise shape-independent,
+        so the written lanes hold exactly the full-matrix values — and
+        writes only those rows.  Callers pass the owning engine's
+        *alive* rows, which keeps the negative-rate guard on the same
+        rows the full refresh restricts it to.
         """
         sub = M[rows]
         shape = (len(rows), len(self.indices))

@@ -41,9 +41,18 @@ by row index), and, as in the batched engine, re-evaluation timing of
 model-bug errors (negative rates) may differ because changed-slot masks
 are supersets of the compiled engine's.
 
-Observers and rate rewards take the batched engine's paths unchanged
-(per-row compiled delegation / the per-event batched loop), preserving
-trace ordering, ``wants_deltas`` delta reporting and reward integrals.
+Observed runs and runs with rate rewards go to the per-row compiled
+delegate, preserving trace ordering, ``wants_deltas`` delta reporting
+and reward integrals.
+
+There is one batch-step loop, :func:`_step_loop`.  It advances the rows
+of one or more *jobs* — ``(engine, streams, horizon, stop_predicate)``
+— as one tensor: :meth:`SteppedJumpEngine.run_batch` runs it with one
+job, and :class:`~repro.san.multipoint.MultiPointContext` with one job
+per chunk of a cross-point sweep, so per-point and tensorized runs are
+the same code.  Each engine's rows form one contiguous *lane* of the
+tensor; the draws, the cumulative sums and the selection run over all
+rows at once, and the rest of a step runs lane by lane.
 
 See ``docs/engine_perf.md`` for measurements and guidance.
 """
@@ -51,6 +60,7 @@ See ``docs/engine_perf.md`` for measurements and guidance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,7 +76,7 @@ from repro.san.batched import (
 )
 from repro.san.compiled import trace_fire_programs
 from repro.san.marking import DeferredMarking
-from repro.san.simulator import SimulationRun, _RewardIntegrator
+from repro.san.simulator import SimulationRun
 
 __all__ = ["SteppedJumpEngine"]
 
@@ -422,20 +432,17 @@ class _TableGroup:
             )
         return _gate_roles(slot_of, members, extended), rate_roles
 
-    def refresh(self, matrix, rows, Ro, Rb, alive_mask,
-                has_bias: bool, cache: Optional[dict] = None,
-                restrict: bool = False) -> None:
-        """Refresh the group's rate columns for ``rows``.
+    def refresh(self, matrix, rows, Ro, Rb, has_bias: bool,
+                cache: dict) -> None:
+        """Refresh the group's rate columns for ``rows``, and no others.
 
-        ``restrict`` keeps every write (including the direct-tree
-        escapes) to ``rows`` — required by multi-point tensors, where a
-        full-matrix refresh would clobber sibling points' rate lanes.
-        The tabulated path is row-restricted either way, so the flag
-        never changes what a single-point batch computes.
+        A group without live tables evaluates its trees on just ``rows``
+        (:meth:`_LoweredGroup.refresh_rows`), so no write reaches a
+        finished row or another engine's lane of a multi-point tensor.
+        ``cache`` shares gathered columns between the groups refreshed
+        for the same rows.
         """
         group = self.group
-        if cache is None:
-            cache = {}
         en = rt = None
         if not self.direct and self.gate is not None:
             en = self.gate.lookup(matrix, rows, cache)
@@ -444,10 +451,7 @@ class _TableGroup:
             rt = self.rate.lookup(matrix, rows, cache)
             self.direct = rt is None
         if self.direct:
-            if restrict:
-                group.refresh_rows(matrix, rows, Ro, Rb, has_bias)
-            else:
-                group.refresh(matrix, Ro, Rb, alive_mask, has_bias)
+            group.refresh_rows(matrix, rows, Ro, Rb, has_bias)
             return
 
         if rt is None and en is None:
@@ -646,30 +650,31 @@ class SteppedJumpEngine(BatchedJumpEngine):
         return expr
 
     # ------------------------------------------------------------------
-    def _refresh_lowered(self, changed_mask: int, matrix, Ro, Rb, alive_mask,
-                         has_bias: bool) -> None:
-        """Memoized variant of the batched refresh (alive rows only).
-
-        Dead rows' rate lanes go stale, which is unobservable: every
-        consumer (cumulative sums, selection clamp-back, weight ratios)
-        indexes alive rows exclusively.
-        """
+    def _affected(self, changed_mask: int) -> int:
+        """Bitmask of the lowered groups that read a changed slot."""
         lowered_dep = self._lowered_dep
         affected = 0
         while changed_mask:
             low = changed_mask & -changed_mask
             affected |= lowered_dep[low.bit_length() - 1]
             changed_mask ^= low
-        if not affected:
-            return
-        rows = np.flatnonzero(alive_mask)
+        return affected
+
+    def _refresh_rows(self, affected: int, matrix, rows, Ro, Rb,
+                      has_bias: bool) -> None:
+        """Refresh the ``affected`` groups' rate columns on ``rows`` only.
+
+        Callers pass the engine's alive rows.  Finished rows' rate lanes
+        go stale, which is unobservable: every consumer (cumulative
+        sums, selection clamp-back, weight ratios) reads alive rows only.
+        """
         tables = self._tables
         cache: dict = {}
         with np.errstate(all="ignore"):
             while affected:
                 low = affected & -affected
                 tables[low.bit_length() - 1].refresh(
-                    matrix, rows, Ro, Rb, alive_mask, has_bias, cache,
+                    matrix, rows, Ro, Rb, has_bias, cache
                 )
                 affected ^= low
 
@@ -705,8 +710,8 @@ class SteppedJumpEngine(BatchedJumpEngine):
         instantaneous-gate tables (once per group); ``insta_scans``
         counts rows that ran the per-row stabilisation scan; and
         ``closure_firings`` counts firings replayed through the per-row
-        compiled closures.  Both step loops (this engine's and the
-        multi-point tensor's) update them; no counter touches a stream.
+        compiled closures.  :func:`_step_loop` updates them for per-point
+        and tensor runs alike; no counter touches a stream.
         """
         insta = self._insta_tables or []
         return {
@@ -729,217 +734,316 @@ class SteppedJumpEngine(BatchedJumpEngine):
     ) -> list[SimulationRun]:
         """Advance one replication per stream, one batch step at a time.
 
-        Observed runs delegate per row to the compiled engine and runs
-        with rate rewards take the batched per-event loop (both via
-        :class:`BatchedJumpEngine`), keeping their contracts intact.
-        Each run's ``final_marking`` is a
-        :class:`~repro.san.marking.DeferredMarking`: its dict is built
+        A one-job run of :func:`_step_loop`.  Observed runs and runs
+        with rate rewards go to the per-row compiled delegate instead,
+        keeping their contracts intact.  Each run's ``final_marking`` is
+        a :class:`~repro.san.marking.DeferredMarking`: its dict is built
         only if a caller reads it.
         """
         self._require_runtime()
         if self.observer is not None or rate_rewards:
-            return super().run_batch(
-                streams, horizon, stop_predicate, rate_rewards
-            )
-        n_rows = len(streams)
-        if n_rows == 0:
-            return []
-        compiled = self.compiled
-        cursor = self._cursor
-        n_acts = self._n
-        has_bias = self._has_bias
-        insta_reads = compiled.insta_reads_mask
-        have_insta = bool(self._insta)
-        insta_tables = self._insta_tables
-        stop_expr = self._lowered_stop(stop_predicate)
-        fire_programs = self._fire_programs
-        choosers = self._choosers
-        firers = self._firers
-        places = compiled.places
+            delegate = self._delegate()
+            return [
+                delegate.run(stream, horizon, stop_predicate, rate_rewards)
+                for stream in streams
+            ]
+        return _step_loop([(self, streams, horizon, stop_predicate)])[0]
 
-        rows = [list(compiled.initial_values) for _ in range(n_rows)]
-        matrix = np.zeros((n_rows, compiled.n_slots), dtype=np.int64,
-                          order="F")
-        for slot, mirrored in enumerate(cursor._mirror):
+
+class _Lane:
+    """One engine's rows of a step-loop tensor: the range ``[lo, hi)``.
+
+    ``stops`` splits the range into runs of adjacent jobs that share a
+    stop predicate: ``(lo, hi, predicate, lowered expression or None)``.
+    """
+
+    __slots__ = ("engine", "cursor", "lo", "hi", "stops")
+
+    def __init__(self, engine, lo: int) -> None:
+        self.engine = engine
+        self.cursor = engine._cursor
+        self.lo = self.hi = lo
+        self.stops: list[tuple] = []
+
+    def add_job(self, hi: int, predicate) -> None:
+        """Append a job's rows ``[self.hi, hi)`` to the lane."""
+        lo, self.hi = self.hi, hi
+        if hi == lo:
+            return
+        stops = self.stops
+        if stops and stops[-1][2] is predicate:
+            stops[-1] = (stops[-1][0], hi) + stops[-1][2:]
+        else:
+            stops.append(
+                (lo, hi, predicate, self.engine._lowered_stop(predicate))
+            )
+
+    def alive_rows(self, alive_mask: np.ndarray) -> np.ndarray:
+        """The lane's rows still running, as an index array."""
+        rows = np.flatnonzero(alive_mask[self.lo:self.hi])
+        if self.lo:
+            rows += self.lo
+        return rows
+
+
+def _runs(rows: list[int], ends: list[int]) -> list[tuple[int, int, int]]:
+    """``(lane, start, stop)``: each lane's stretch of the sorted ``rows``.
+
+    Lane ``i`` owns the rows from ``ends[i - 1]`` (0 for the first) up
+    to ``ends[i]``; lanes without rows in ``rows`` are left out.
+    """
+    spans = []
+    start = 0
+    for lane, end in enumerate(ends):
+        stop = bisect_left(rows, end, start)
+        if stop > start:
+            spans.append((lane, start, stop))
+            start = stop
+    return spans
+
+
+def _step_loop(jobs: list) -> list[list[SimulationRun]]:
+    """The batch-step loop: every job's replications, one run list each.
+
+    ``jobs`` are ``(engine, streams, horizon, stop_predicate)`` tuples
+    of runnable, observer-free stepped engines that share one bias flag
+    (a biased step draws against ``Rb`` but weighs with ``Ro``).
+
+    Rows are laid out engine by engine, in first-seen order, with each
+    engine's jobs adjacent in job order, so every engine owns one
+    contiguous lane and every job a contiguous range within it.  The
+    tensor is padded to the widest engine: ``max(n_slots)`` marking and
+    ``max(n_acts)`` rate columns, the padding never written.  Trailing
+    zero rates leave a row's cumulative sums, and so its total and its
+    selection, bitwise unchanged, except at the ``u == total`` edge,
+    where the count runs past the padding and the clamp-back starts
+    from the row's own last activity.
+
+    Each row reads only its own stream, so its run is the same whatever
+    shares the tensor: bit-identical to the compiled engine per stream.
+    Engine state that rows share (refresh tables, case memos) holds
+    pure functions of the marking.
+    """
+    # --- layout: one lane per engine, jobs contiguous inside it ------
+    by_engine: dict[int, list[int]] = {}
+    for j, job in enumerate(jobs):
+        by_engine.setdefault(id(job[0]), []).append(j)
+    lanes: list[_Lane] = []
+    streams_of: list = []
+    horizon_of: list[float] = []
+    lane_of: list[int] = []
+    job_span: list[tuple[int, int]] = [(0, 0)] * len(jobs)
+    for members in by_engine.values():
+        lane = _Lane(jobs[members[0]][0], len(streams_of))
+        for j in members:
+            _engine, streams, horizon, predicate = jobs[j]
+            lo = len(streams_of)
+            streams_of.extend(streams)
+            job_span[j] = (lo, len(streams_of))
+            horizon_of.extend([float(horizon)] * (len(streams_of) - lo))
+            lane.add_job(len(streams_of), predicate)
+        lane_of.extend([len(lanes)] * (lane.hi - lane.lo))
+        lanes.append(lane)
+    n_rows = len(streams_of)
+    if n_rows == 0:
+        return [[] for _ in jobs]
+    ends = [lane.hi for lane in lanes]
+    n_acts_of = [lane.engine._n for lane in lanes]
+    n_cols = max(n_acts_of)
+    places_of = [lane.engine.compiled.places for lane in lanes]
+    has_bias = lanes[0].engine._has_bias
+
+    # --- tensors: padded marking matrix and rate rows -----------------
+    values: list[list] = []
+    matrix = np.zeros(
+        (n_rows, max(lane.engine.compiled.n_slots for lane in lanes)),
+        dtype=np.int64, order="F",
+    )
+    for lane in lanes:
+        initial = lane.engine.compiled.initial_values
+        values.extend(list(initial) for _ in range(lane.lo, lane.hi))
+        for slot, mirrored in enumerate(lane.cursor._mirror):
             if mirrored:
-                matrix[:, slot] = compiled.initial_values[slot]
-        cursor.bind_batch(rows, matrix)
+                matrix[lane.lo:lane.hi, slot] = initial[slot]
+    for lane in lanes:
+        lane.cursor.bind_batch(values, matrix)
+    Ro = np.zeros((n_rows, n_cols), dtype=np.float64)
+    Rb = np.zeros((n_rows, n_cols), dtype=np.float64) if has_bias else Ro
+    alive_mask = np.zeros(n_rows, dtype=bool)
 
-        Ro = np.zeros((n_rows, n_acts), dtype=np.float64)
-        Rb = np.zeros((n_rows, n_acts), dtype=np.float64) if has_bias else Ro
-        alive_mask = np.zeros(n_rows, dtype=bool)
+    results: list[Optional[SimulationRun]] = [None] * n_rows
+    now = [0.0] * n_rows
+    weights = [1.0] * n_rows
+    firings = [0] * n_rows
+    #: per-row bitmask of matrix slots not yet copied back into the
+    #: exact Python row values (delta programs write the matrix only)
+    stale = [0] * n_rows
+    changed_masks = [0] * n_rows
+    fb_reads = [
+        [0] * len(lanes[e].engine._fb_indices) for e in lane_of
+    ]
+    fb_union = [0] * n_rows
 
-        results: list[Optional[SimulationRun]] = [None] * n_rows
-        now = [0.0] * n_rows
-        weights = [1.0] * n_rows
-        firings = [0] * n_rows
-        # stepped runs inline only without rate rewards; the integrals
-        # are the same empty dict the batched engine would produce
-        integrators = [_RewardIntegrator(None) for _ in range(n_rows)]
-        #: per-row bitmask of matrix slots not yet copied back into the
-        #: exact Python row values (delta programs write the matrix only)
-        stale = [0] * n_rows
-        changed_masks = [0] * n_rows
-        fb_count = len(self._fb_indices)
-        fb_reads = [[0] * fb_count for _ in range(n_rows)]
-        fb_union = [0] * n_rows
-        any_fb = fb_count > 0
+    def sync(row: int) -> None:
+        mask = stale[row]
+        if mask:
+            row_values = values[row]
+            while mask:
+                low = mask & -mask
+                slot = low.bit_length() - 1
+                row_values[slot] = int(matrix[row, slot])
+                mask ^= low
+            stale[row] = 0
 
-        def sync(row: int) -> None:
-            mask = stale[row]
-            if mask:
-                values = rows[row]
-                while mask:
-                    low = mask & -mask
-                    slot = low.bit_length() - 1
-                    values[slot] = int(matrix[row, slot])
-                    mask ^= low
-                stale[row] = 0
+    def finalize(row: int, end_time: float, stopped: bool,
+                 stop_time: float) -> None:
+        # a finished row's values are never written again, so its
+        # marking snapshot is deferred until a caller reads it
+        alive_mask[row] = False
+        sync(row)
+        results[row] = SimulationRun(
+            end_time=end_time,
+            stopped=stopped,
+            stop_time=stop_time,
+            weight=weights[row],
+            firings=firings[row],
+            final_marking=DeferredMarking(places_of[lane_of[row]],
+                                          values[row]),
+        )
 
-        def finalize(row: int, end_time: float, stopped: bool,
-                     stop_time: float) -> None:
-            # a finished row's values are never written again, so its
-            # marking snapshot is deferred until a caller reads it
-            alive_mask[row] = False
-            sync(row)
-            results[row] = SimulationRun(
-                end_time=end_time,
-                stopped=stopped,
-                stop_time=stop_time,
-                weight=weights[row],
-                firings=firings[row],
-                final_marking=DeferredMarking(places, rows[row]),
-                reward_integrals=integrators[row].integrals,
-            )
-
-        # --- batch entry: stabilise, time-zero absorption, refresh ----
+    # --- entry: stabilise, time-zero exits, refresh, lane by lane -----
+    alive: list[int] = []
+    for lane in lanes:
+        engine, cursor, lo, hi = lane.engine, lane.cursor, lane.lo, lane.hi
         # With only single-case instantaneous activities the entry
-        # stabilisation draws nothing and every row starts from the same
-        # initial marking, so row 0's stabilised state is every row's:
-        # broadcast it instead of re-scanning per row (rows' streams are
-        # untouched either way, so the replay is exact).
-        broadcast = self._insta_single_case and n_rows > 1
+        # stabilisation draws nothing and every row starts from the
+        # same initial marking, so the first row's stabilised state is
+        # every row's: broadcast it instead of re-scanning per row (the
+        # rows' streams are untouched either way, so the replay is exact)
+        broadcast = engine._insta_single_case and hi - lo > 1
         if broadcast:
-            cursor.set_row(0)
+            cursor.set_row(lo)
             cursor.changed_mask = 0
-            self._stabilize(streams[0])
+            engine._stabilize(streams_of[lo])
             cursor.changed_mask = 0
-            base_values = rows[0]
-            for row in range(1, n_rows):
-                rows[row][:] = base_values
-            matrix[1:] = matrix[0]
-        alive: list[int] = []
-        for row in range(n_rows):
-            cursor.set_row(row)
-            cursor.changed_mask = 0
-            if not broadcast:
-                self._stabilize(streams[row])
+            for row in range(lo + 1, hi):
+                values[row][:] = values[lo]
+            matrix[lo + 1:hi] = matrix[lo]
+        for start, stop, predicate, _expr in lane.stops:
+            for row in range(start, stop):
+                cursor.set_row(row)
                 cursor.changed_mask = 0
-            if stop_predicate is not None and stop_predicate(cursor):
-                finalize(row, 0.0, True, 0.0)
-            elif horizon <= 0.0:
-                finalize(row, horizon, False, math.inf)
-            else:
-                alive_mask[row] = True
-                alive.append(row)
-        if alive:
-            rows_alive = np.array(alive, dtype=np.intp)
-            entry_cache: dict = {}
-            with np.errstate(all="ignore"):
-                for table in self._tables:
-                    table.refresh(matrix, rows_alive, Ro, Rb, alive_mask,
-                                  has_bias, entry_cache)
-            if any_fb:
-                for row in alive:
-                    cursor.set_row(row)
-                    self._refresh_fallback_row(row, -1, fb_reads[row],
-                                               Ro, Rb)
-                    fb_union[row] = self._fold_union(fb_reads[row])
+                if not broadcast:
+                    engine._stabilize(streams_of[row])
                     cursor.changed_mask = 0
+                if predicate is not None and predicate(cursor):
+                    finalize(row, 0.0, True, 0.0)
+                elif horizon_of[row] <= 0.0:
+                    finalize(row, horizon_of[row], False, math.inf)
+                else:
+                    alive_mask[row] = True
+                    alive.append(row)
+        rows_alive = lane.alive_rows(alive_mask)
+        if not len(rows_alive):
+            continue
+        engine._refresh_rows((1 << len(engine._tables)) - 1, matrix,
+                             rows_alive, Ro, Rb, has_bias)
+        if engine._fb_indices:
+            for row in rows_alive.tolist():
+                cursor.set_row(row)
+                engine._refresh_fallback_row(row, -1, fb_reads[row], Ro, Rb)
+                fb_union[row] = engine._fold_union(fb_reads[row])
+                cursor.changed_mask = 0
 
-        # --- batch-step loop ------------------------------------------
-        while alive:
-            self._steps += 1
-            self._row_steps += len(alive)
-            full = len(alive) == n_rows
-            Cb = np.cumsum(Rb if full else Rb[alive], axis=1)
-            if has_bias:
-                Co = np.cumsum(Ro if full else Ro[alive], axis=1)
+    # --- batch-step loop ----------------------------------------------
+    while alive:
+        for e, start, stop in _runs(alive, ends):
+            engine = lanes[e].engine
+            engine._steps += 1
+            engine._row_steps += stop - start
+        full = len(alive) == n_rows
+        Cb = np.cumsum(Rb if full else Rb[alive], axis=1)
+        if has_bias:
+            Co = np.cumsum(Ro if full else Ro[alive], axis=1)
 
-            # phase 1: per-row draws (a row's exponential and selection
-            # uniform stay consecutive on its own stream), deadlock and
-            # horizon-crossing exits
-            fired_rows: list[int] = []
-            fired_pos: list[int] = []
-            fired_u: list[float] = []
-            fired_tb: list[float] = []
-            fired_tot: list[float] = []
-            fired_hold: list[float] = []
-            for position, row in enumerate(alive):
-                stream = streams[row]
-                total_biased = float(Cb[position, -1])
-                total = (
-                    float(Co[position, -1]) if has_bias else total_biased
-                )
-                if total <= 0.0:
-                    # deadlock: the marking persists until the horizon
-                    finalize(row, now[row], False, math.inf)
-                    continue
-                holding = stream.exponential(total_biased)
-                if now[row] + holding > horizon:
-                    if has_bias:
-                        weights[row] *= math.exp(
-                            -(total - total_biased) * (horizon - now[row])
-                        )
-                    now[row] = horizon
-                    finalize(row, horizon, False, math.inf)
-                    continue
-                u = stream.random() * total_biased
-                now[row] += holding
-                firings[row] += 1
-                changed_masks[row] = 0
-                fired_rows.append(row)
-                fired_pos.append(position)
-                fired_u.append(u)
-                if has_bias:
-                    fired_tb.append(total_biased)
-                    fired_tot.append(total)
-                    fired_hold.append(holding)
-            self._kernel_events += len(fired_rows)
-            if not fired_rows:
-                alive = []
+        # phase 1: per-row draws (a row's exponential and selection
+        # uniform stay consecutive on its own stream), deadlock and
+        # horizon-crossing exits
+        fired_rows: list[int] = []
+        fired_pos: list[int] = []
+        fired_u: list[float] = []
+        fired_tb: list[float] = []
+        fired_tot: list[float] = []
+        fired_hold: list[float] = []
+        for position, row in enumerate(alive):
+            stream = streams_of[row]
+            total_biased = float(Cb[position, -1])
+            total = float(Co[position, -1]) if has_bias else total_biased
+            if total <= 0.0:
+                # deadlock: the marking persists until the horizon
+                finalize(row, now[row], False, math.inf)
                 continue
-
-            # phase 2: vectorized selection — count of cumulative sums
-            # <= u replays searchsorted(side="right") ≡ bisect_right,
-            # with the same numerical-edge clamp-back as the other
-            # engines (u == total selects the last enabled activity)
-            pos_arr = np.array(fired_pos, dtype=np.intp)
-            u_arr = np.array(fired_u, dtype=np.float64)
-            indices = (Cb[pos_arr] <= u_arr[:, None]).sum(axis=1)
-            for k in np.nonzero(indices >= n_acts)[0]:
-                row = fired_rows[k]
-                index = n_acts - 1
-                while index > 0 and Rb[row, index] <= 0.0:
-                    index -= 1
-                indices[k] = index
-            if has_bias:
-                for k, row in enumerate(fired_rows):
-                    index = int(indices[k])
-                    weights[row] *= (
-                        float(Ro[row, index]) / float(Rb[row, index])
-                    ) * math.exp(
-                        -(fired_tot[k] - fired_tb[k]) * fired_hold[k]
+            holding = stream.exponential(total_biased)
+            horizon = horizon_of[row]
+            if now[row] + holding > horizon:
+                if has_bias:
+                    weights[row] *= math.exp(
+                        -(total - total_biased) * (horizon - now[row])
                     )
-            # (without bias the weight factor is exactly 1.0: Ro is Rb,
-            # x/x == 1.0 and exp(-0.0·h) == 1.0 — skipping it is exact)
+                now[row] = horizon
+                finalize(row, horizon, False, math.inf)
+                continue
+            u = stream.random() * total_biased
+            now[row] += holding
+            firings[row] += 1
+            changed_masks[row] = 0
+            fired_rows.append(row)
+            fired_pos.append(position)
+            fired_u.append(u)
+            if has_bias:
+                fired_tb.append(total_biased)
+                fired_tot.append(total)
+                fired_hold.append(holding)
+        if not fired_rows:
+            alive = []
+            continue
+
+        # phase 2: vectorized selection — count of cumulative sums
+        # <= u replays searchsorted(side="right") ≡ bisect_right, with
+        # the other engines' numerical-edge clamp-back (u == total
+        # selects the row's last enabled activity)
+        pos_arr = np.array(fired_pos, dtype=np.intp)
+        u_arr = np.array(fired_u, dtype=np.float64)
+        indices = (Cb[pos_arr] <= u_arr[:, None]).sum(axis=1)
+        chosen = indices.tolist()
+        for k in np.flatnonzero(indices >= n_cols).tolist():
+            row = fired_rows[k]
+            index = n_acts_of[lane_of[row]] - 1
+            while index > 0 and Rb[row, index] <= 0.0:
+                index -= 1
+            chosen[k] = index
+        if has_bias:
+            for k, row in enumerate(fired_rows):
+                index = chosen[k]
+                weights[row] *= (
+                    float(Ro[row, index]) / float(Rb[row, index])
+                ) * math.exp(-(fired_tot[k] - fired_tb[k]) * fired_hold[k])
+        # (without bias the weight factor is exactly 1.0: Ro is Rb,
+        # x/x == 1.0 and exp(-0.0·h) == 1.0 — skipping it is exact)
+
+        # phases 3-5, lane by lane
+        survivors: list[int] = []
+        for e, start, stop in _runs(fired_rows, ends):
+            lane = lanes[e]
+            engine, cursor = lane.engine, lane.cursor
+            lane_rows = fired_rows[start:stop]
 
             # phase 3: fused firing, grouped by (activity, case)
             groups: dict[int, list[int]] = {}
-            for k in range(len(fired_rows)):
-                groups.setdefault(int(indices[k]), []).append(k)
+            for k in range(start, stop):
+                groups.setdefault(chosen[k], []).append(k)
             for index, members in groups.items():
-                chooser = choosers[index]
+                chooser = engine._choosers[index]
                 if chooser is None:
                     by_case = {0: members}
                 else:
@@ -949,9 +1053,10 @@ class SteppedJumpEngine(BatchedJumpEngine):
                         sync(row)
                         cursor.set_row(row)
                         by_case.setdefault(
-                            chooser(streams[row]), []
+                            chooser(streams_of[row]), []
                         ).append(k)
-                programs = fire_programs[index]
+                programs = engine._fire_programs[index]
+                firer = engine._firers[index]
                 for case, ks in by_case.items():
                     program = programs[case]
                     if program is not None:
@@ -972,11 +1077,11 @@ class SteppedJumpEngine(BatchedJumpEngine):
                                     sync(row)
                                     cursor.set_row(row)
                                     cursor.changed_mask = 0
-                                    firers[index](case)
+                                    firer(case)
                                     changed_masks[row] |= (
                                         cursor.clear_changed_mask()
                                     )
-                                    self._closure_firings += 1
+                                    engine._closure_firings += 1
                             continue
                         krows = np.fromiter(
                             (fired_rows[k] for k in ks),
@@ -992,87 +1097,98 @@ class SteppedJumpEngine(BatchedJumpEngine):
                             continue
                     # unlowered case, or a row would validate-fail:
                     # compiled closures reproduce the exact semantics
-                    self._closure_firings += len(ks)
+                    engine._closure_firings += len(ks)
                     for k in ks:
                         row = fired_rows[k]
                         sync(row)
                         cursor.set_row(row)
                         cursor.changed_mask = 0
-                        firers[index](case)
+                        firer(case)
                         changed_masks[row] |= cursor.clear_changed_mask()
 
             # phase 4: instantaneous stabilisation — scan only the rows
             # whose changes can have enabled an instantaneous activity
-            # (and, when the gates lower, only rows where one actually is
-            # enabled: a scan that fires nothing draws and writes
+            # (and, when the gates lower, only rows where one actually
+            # is enabled: a scan that fires nothing draws and writes
             # nothing, so skipping it is exact)
-            if have_insta:
+            if engine._insta:
+                insta_reads = engine.compiled.insta_reads_mask
                 triggered = [
-                    row for row in fired_rows
+                    row for row in lane_rows
                     if changed_masks[row] & insta_reads
                 ]
                 if triggered:
-                    if insta_tables is not None:
+                    if engine._insta_tables is not None:
                         with np.errstate(all="ignore"):
-                            enabled = self._insta_enabled_rows(
-                                matrix,
-                                np.asarray(triggered, dtype=np.intp),
+                            enabled = engine._insta_enabled_rows(
+                                matrix, np.asarray(triggered, dtype=np.intp)
                             )
                         scan_rows = [
                             triggered[k] for k in np.flatnonzero(enabled)
                         ]
                     else:
                         scan_rows = triggered
-                    self._insta_scans += len(scan_rows)
+                    engine._insta_scans += len(scan_rows)
                     for row in scan_rows:
                         sync(row)
                         cursor.set_row(row)
                         cursor.changed_mask = 0
-                        self._stabilize(streams[row])
+                        engine._stabilize(streams_of[row])
                         changed_masks[row] |= cursor.clear_changed_mask()
 
             # phase 5: absorption (lowered where possible), horizon,
             # fallback-rate refresh for survivors, lowered refresh
-            if stop_predicate is not None:
-                if stop_expr is not None:
-                    # whole-matrix on purpose: the predicate reads a
-                    # column view for free, while gathering the fired
-                    # rows first (matrix[fired_rows]) costs 3-12x more
-                    # at B = 256 (docs/engine_perf.md)
+            for lo, hi, predicate, expr in lane.stops:
+                if predicate is None:
+                    continue
+                if expr is not None:
+                    # over the stop run's whole row range on purpose: a
+                    # lowered predicate reads column views for free,
+                    # while gathering the fired rows first costs 3-12x
+                    # more at B = 256 (docs/engine_perf.md); the alive
+                    # rows of the range are exactly its fired rows
                     with np.errstate(all="ignore"):
-                        hit = _bool_rows(stop_expr(matrix), n_rows)
-                    for row in fired_rows:
-                        if hit[row]:
-                            finalize(row, now[row], True, now[row])
+                        hit = _bool_rows(expr(matrix[lo:hi]), hi - lo)
+                    hit &= alive_mask[lo:hi]
+                    for row in (np.flatnonzero(hit) + lo).tolist():
+                        finalize(row, now[row], True, now[row])
                 else:
-                    for row in fired_rows:
+                    for row in lane_rows[bisect_left(lane_rows, lo):
+                                         bisect_left(lane_rows, hi)]:
                         sync(row)
                         cursor.set_row(row)
-                        if stop_predicate(cursor):
+                        if predicate(cursor):
                             finalize(row, now[row], True, now[row])
 
             changed_union = 0
-            survivors: list[int] = []
-            for row in fired_rows:
+            n_survivors = len(survivors)
+            fb_any = bool(engine._fb_indices)
+            for row in lane_rows:
                 if results[row] is not None:
                     continue
-                if now[row] >= horizon:
+                if now[row] >= horizon_of[row]:
                     finalize(row, now[row], False, math.inf)
                     continue
                 changed = changed_masks[row]
                 if changed:
                     changed_union |= changed
-                    if any_fb and changed & fb_union[row]:
+                    if fb_any and changed & fb_union[row]:
                         sync(row)
                         cursor.set_row(row)
                         reads = fb_reads[row]
-                        if self._refresh_fallback_row(row, changed, reads,
-                                                      Ro, Rb):
-                            fb_union[row] = self._fold_union(reads)
+                        if engine._refresh_fallback_row(row, changed, reads,
+                                                        Ro, Rb):
+                            fb_union[row] = engine._fold_union(reads)
                 survivors.append(row)
-            alive = survivors
-            if changed_union and alive and self._lowered:
-                self._refresh_lowered(changed_union, matrix, Ro, Rb,
-                                      alive_mask, has_bias)
-        cursor.release()
-        return results  # type: ignore[return-value]
+            if changed_union and len(survivors) > n_survivors:
+                affected = engine._affected(changed_union)
+                if affected:
+                    engine._refresh_rows(affected, matrix,
+                                         lane.alive_rows(alive_mask),
+                                         Ro, Rb, has_bias)
+        alive = survivors
+
+    for lane in lanes:
+        lane.engine._kernel_events += sum(firings[lane.lo:lane.hi])
+        lane.cursor.release()
+    return [results[lo:hi] for lo, hi in job_span]  # type: ignore[misc]
