@@ -15,7 +15,8 @@ interpreted one at every size, the batched engine (at its widest
 benchmarked batch) must beat compiled at the largest size, the stepped
 engine's tabulated refresh must hold >= 1.5x over batched at n=10 /
 batch 256, one cross-point tensorized run must hold >= 1.5x over
-per-point stepped loops on the figure-shaped sweeps, and a single
+per-point stepped loops on the figure-shaped sweeps (the median of
+paired passes), and a single
 stepped ``run()`` must stay within 1.25x of a compiled one (the CI
 bench-smoke gates).  All engines replay the same seeds, so the
 ``events`` columns double as an equivalence check.  A last, ungated
@@ -25,6 +26,7 @@ workload's shape and reports its always-on kernel counters.
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
@@ -290,7 +292,7 @@ def _render_table(rows: list[dict]) -> str:
 def compare_sweep(
     chunks: int = 4,
     chunk_size: int = 32,
-    repeats: int = 3,
+    repeats: int = 5,
 ) -> list[dict]:
     """Cross-point tensorized dispatch vs per-point stepped loops.
 
@@ -303,6 +305,13 @@ def compare_sweep(
     :class:`~repro.san.multipoint.MultiPointContext` run.  Both paths
     replay identical streams, so the event totals double as an
     equivalence check.
+
+    The gated speedup is a paired statistic: each of ``repeats`` (at
+    least 5) repeats times one pass per mode back to back, the mode
+    that goes first alternating, and the speedup is the median over
+    repeats of the per-point pass time over the same repeat's
+    tensorized pass.  (Keeping each mode's best of passes timed a second
+    apart let host noise decide the gate on a shared machine.)
     """
     from repro.san import MultiPointContext, MultiPointJob
 
@@ -341,9 +350,7 @@ def compare_sweep(
                 for index in range(len(engines))
             ]
 
-        per_point = tensorized = float("inf")
-        events_pp = events_tz = 0
-        for _ in range(max(1, repeats)):
+        def per_point_pass() -> tuple:
             grid = stream_grid()
             started = time.perf_counter()
             fired = 0
@@ -353,9 +360,9 @@ def compare_sweep(
                         run.firings
                         for run in engine.run_batch(streams, horizon)
                     )
-            per_point = min(per_point, time.perf_counter() - started)
-            events_pp = fired
+            return time.perf_counter() - started, fired
 
+        def tensorized_pass() -> tuple:
             grid = stream_grid()
             jobs = [
                 MultiPointJob(engine, streams, horizon, None)
@@ -364,25 +371,37 @@ def compare_sweep(
             ]
             started = time.perf_counter()
             results = MultiPointContext(jobs).run()
-            tensorized = min(tensorized, time.perf_counter() - started)
-            events_tz = sum(
+            elapsed = time.perf_counter() - started
+            return elapsed, sum(
                 run.firings for runs in results for run in runs
             )
-        if events_pp != events_tz:
+
+        per_point, tensorized = [], []
+        events = set()
+        for repeat in range(max(5, repeats)):
+            modes = [(per_point_pass, per_point),
+                     (tensorized_pass, tensorized)]
+            for timed_pass, times in modes[::-1] if repeat % 2 else modes:
+                elapsed, fired = timed_pass()
+                times.append(elapsed)
+                events.add(fired)
+        if len(events) != 1:
             raise AssertionError(
                 f"{name}: tensorized and per-point paths disagree on "
-                f"event counts ({events_tz} vs {events_pp})"
+                f"event counts ({sorted(events)})"
             )
+        paired = [pp / tz for pp, tz in zip(per_point, tensorized)]
         rows.append(
             {
                 "sweep": name,
                 "points": len(specs),
                 "chunks_per_point": chunks,
                 "chunk_size": chunk_size,
-                "events": int(events_pp),
-                "per_point_seconds": per_point,
-                "tensorized_seconds": tensorized,
-                "tensorized_speedup": per_point / tensorized,
+                "events": int(events.pop()),
+                "per_point_seconds": statistics.median(per_point),
+                "tensorized_seconds": statistics.median(tensorized),
+                "paired_speedups": paired,
+                "tensorized_speedup": statistics.median(paired),
             }
         )
     return rows
@@ -556,7 +575,9 @@ def _render_kernel(row: dict) -> str:
         ),
         f"{'n':>4}  {'chunks':>6}  {'events':>7}  {'ev/s':>7}  "
         f"{'steps':>6}  {'occupancy':>9}  {'insta lookups':>13}  "
-        f"{'fills':>6}  {'scans':>6}  {'closure firings':>15}",
+        f"{'fills':>6}  {'scans':>6}  {'closure firings':>15}  "
+        f"{'case lookups':>12}  {'fills':>6}  {'write lookups':>13}  "
+        f"{'fills':>6}",
     ]
     for point in row["points"]:
         counters = point["counters"]
@@ -566,7 +587,9 @@ def _render_kernel(row: dict) -> str:
             f"{counters['steps']:>6}  {point['occupancy']:>9.2f}  "
             f"{counters['insta_lookups']:>13}  {counters['insta_fills']:>6}  "
             f"{counters['insta_scans']:>6}  "
-            f"{counters['closure_firings']:>15}"
+            f"{counters['closure_firings']:>15}  "
+            f"{counters['case_lookups']:>12}  {counters['case_fills']:>6}  "
+            f"{counters['write_lookups']:>13}  {counters['write_fills']:>6}"
         )
     return "\n".join(lines)
 
@@ -617,7 +640,7 @@ def main(argv=None) -> int:
 
     rows = compare_engines(sizes, replications, args.horizon, batch_sizes)
     print(_render_table(rows))
-    sweep_rows = compare_sweep(repeats=2 if args.smoke else 3)
+    sweep_rows = compare_sweep(repeats=5 if args.smoke else 7)
     print()
     print(_render_sweep_table(sweep_rows))
     single = compare_single(replications=32 if args.smoke else 64)
@@ -683,8 +706,8 @@ def main(argv=None) -> int:
             failed = True
     # regression gate for cross-point tensorization: one stacked tensor
     # run must hold >= 1.5x over per-point stepped loops on both
-    # figure-shaped sweeps (measured >= 2x on idle machines; 1.5 leaves
-    # headroom for CI scheduler noise)
+    # figure-shaped sweeps, as the median of paired passes (measured
+    # >= 2x on idle machines; 1.5 leaves headroom for CI scheduler noise)
     for row in sweep_rows:
         if row["tensorized_speedup"] < 1.5:
             print(

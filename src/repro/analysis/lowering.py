@@ -620,12 +620,14 @@ def check_tensor(model: SANModel) -> Iterator[Diagnostic]:
             f"{fallback}/{timed} timed activities refresh on the "
             "per-row scalar fallback inside the tensor step loop",
         )
-    if stats["fire_lowered"] < stats["fire_cases"]:
-        unlowered = stats["fire_cases"] - stats["fire_lowered"]
+    covered = stats["fire_lowered"] + stats["fire_tabulated"]
+    if covered < stats["fire_cases"]:
+        unlowered = stats["fire_cases"] - covered
         yield Diagnostic(
             "TZ002",
-            f"{unlowered}/{stats['fire_cases']} firing cases have no "
-            "delta program and fire through per-row closures",
+            f"{unlowered}/{stats['fire_cases']} firing cases have neither "
+            "a delta program nor a write memo and fire through per-row "
+            "closures",
         )
     if model.instantaneous_activities and not stats["insta_lowered"]:
         yield Diagnostic(

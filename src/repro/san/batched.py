@@ -58,7 +58,8 @@ from repro.san.compiled import (
     CompiledJumpEngine,
     CompiledMarking,
     CompiledModel,
-    _compile_chooser,
+    _SlotBindings,
+    _compile_choosers,
     _compile_enabled,
     _compile_fire,
     _compile_rate,
@@ -804,19 +805,23 @@ class BatchedJumpEngine:
         self._fb_rate_consts = []
         self._fb_rate_fns = []
         self._fb_static_reads = []
+        #: gate and marking-function bindings, for this bind (a subclass
+        #: may reuse it for its own views, then drop it)
+        slots = self._slot_bindings = _SlotBindings(slot_of)
         if self.diagnose:
             # diagnose mode keeps the lowering facts (groups, fallback
             # reasons, dependency masks) but compiles no runtime closures
             self._choosers = []
             self._firers = []
             self._insta = []
+            self._case_memos = []
             return
         for index in fallback_indices:
             activity = compiled.timed[index]
             self._fb_enabled.append(
-                _compile_enabled(activity, cursor, slot_of, self._trace)
+                _compile_enabled(activity, cursor, slots, self._trace)
             )
-            constant, fn = _compile_rate(activity, cursor, slot_of, self._trace)
+            constant, fn = _compile_rate(activity, cursor, slots, self._trace)
             self._fb_rate_consts.append(constant)
             self._fb_rate_fns.append(fn)
             static = 0
@@ -826,22 +831,27 @@ class BatchedJumpEngine:
 
         # fire-path closures (chooser + gate functions) for every timed
         # activity, and the instantaneous scan — all bound to the cursor
-        self._choosers = [
-            _compile_chooser(activity, cursor, slot_of)
-            for activity in compiled.timed
-        ]
+        self._choosers, timed_memos = _compile_choosers(
+            compiled.timed, cursor, slots
+        )
         self._firers = [
-            _compile_fire(activity, cursor, slot_of)
+            _compile_fire(activity, cursor, slots)
             for activity in compiled.timed
         ]
+        insta_choosers, insta_memos = _compile_choosers(
+            compiled.instantaneous, cursor, slots
+        )
         self._insta = [
             (
-                _compile_enabled(activity, cursor, slot_of),
-                _compile_chooser(activity, cursor, slot_of),
-                _compile_fire(activity, cursor, slot_of),
+                _compile_enabled(activity, cursor, slots),
+                chooser,
+                _compile_fire(activity, cursor, slots),
             )
-            for activity in compiled.instantaneous
+            for activity, chooser in zip(compiled.instantaneous,
+                                         insta_choosers)
         ]
+        #: the case-choice memos of the cursor-bound choosers
+        self._case_memos = timed_memos + insta_memos
 
     # ------------------------------------------------------------------
     def lowering_stats(self) -> dict[str, int]:

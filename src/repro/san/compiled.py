@@ -354,6 +354,34 @@ def _enabling_reads(activity) -> set[Place]:
 # ----------------------------------------------------------------------
 # closure compilation (per engine, bound to one CompiledMarking)
 # ----------------------------------------------------------------------
+class _SlotBindings:
+    """``obj -> {local name: slot}`` for gates and marking functions.
+
+    One dict per distinct binding: the replicas' gates, rates and case
+    probabilities mostly bind the same names to one vehicle's places,
+    so an engine's views (and the stepped engine's recording views)
+    share a few dicts instead of holding one each.  Objects are looked
+    up by ``id``; the model holds them for longer than an engine's
+    bind, which is all this cache lives.  Views only read these dicts.
+    """
+
+    __slots__ = ("slot_of", "_by_id", "_by_content")
+
+    def __init__(self, slot_of) -> None:
+        self.slot_of = slot_of
+        self._by_id: dict[int, dict[str, int]] = {}
+        self._by_content: dict[tuple, dict[str, int]] = {}
+
+    def __call__(self, obj) -> dict[str, int]:
+        slots = self._by_id.get(id(obj))
+        if slots is None:
+            slots = obj.slot_binding(self.slot_of)
+            content = (tuple(slots), tuple(slots.values()))
+            slots = self._by_content.setdefault(content, slots)
+            self._by_id[id(obj)] = slots
+        return slots
+
+
 def _view(
     marking: CompiledMarking, slots: dict[str, int], trace: Optional[list[int]]
 ) -> _SlotView:
@@ -366,7 +394,7 @@ def _view(
 def _compile_enabled(
     activity,
     marking: CompiledMarking,
-    slot_of,
+    slots: _SlotBindings,
     trace: Optional[list[int]] = None,
 ) -> Optional[Callable[[], bool]]:
     """The activity's conjunction of input-gate predicates, slot-lowered.
@@ -377,7 +405,7 @@ def _compile_enabled(
     dependency discovery).
     """
     checks = [
-        (gate.predicate, _view(marking, gate.slot_binding(slot_of), trace))
+        (gate.predicate, _view(marking, slots(gate), trace))
         for gate in activity.input_gates
     ]
     if not checks:
@@ -398,7 +426,7 @@ def _compile_enabled(
 def _compile_rate(
     activity: TimedActivity,
     marking: CompiledMarking,
-    slot_of,
+    slots: _SlotBindings,
     trace: Optional[list[int]] = None,
 ) -> tuple[float, Optional[Callable[[], float]]]:
     """``(constant, None)`` or ``(0.0, closure)`` for the activity's rate.
@@ -409,7 +437,7 @@ def _compile_rate(
     constant, fn = activity.exponential_parts()
     if fn is None:
         return float(constant), None
-    view = _view(marking, fn.slot_binding(slot_of), trace)
+    view = _view(marking, slots(fn), trace)
     raw = fn.fn
     name = activity.name
 
@@ -422,59 +450,192 @@ def _compile_rate(
     return 0.0, rate
 
 
-def _key_getter(mask: int) -> Callable[[list], Any]:
-    """``values -> key``: the values at the slots of ``mask``."""
-    slots = []
-    while mask:
-        low = mask & -mask
-        slots.append(low.bit_length() - 1)
-        mask ^= low
-    return itemgetter(*slots) if slots else _no_key
-
-
 def _no_key(values: list) -> None:
     return None
 
 
-#: entries one activity's case memo holds before it starts over; a
-#: bound for probabilities over unbounded counters (the AHS models stay
-#: far below it)
+#: entries a role-keyed memo holds before it starts over; a bound for
+#: values over unbounded counters (the AHS models stay far below it)
 _CASE_MEMO_CAP = 1 << 16
 
 
-def _compile_chooser(
-    activity, marking: CompiledMarking, slot_of
-) -> Optional[Callable[[RandomStream], int]]:
-    """Case selection; ``None`` for single-case activities (no draw).
+class _RoleTracingView(_SlotView):
+    """A :class:`_SlotView` that records the *roles* it reads.
 
-    Replays :meth:`_ActivityBase.choose_case` exactly: identical
-    probability evaluation (with the [0,1] clamp and error messages of
-    ``Case.probability_in``), the same sum-to-1 check, and the same single
-    ``choice_index`` draw.
-
-    The validated probability list is memoised, keyed on the values of
-    the slots the probability functions read (recorded by tracing views
-    on every miss).  Case probabilities are pure, so a list computed
-    from the same read values is the list a re-evaluation would give;
-    when a miss reads a slot outside the key (a branch not taken
-    before), the key widens and the memo starts over.  Errors are never
-    cached, and a probability that may read an extended place keeps
-    the uncached path.
+    A role is a binding name of code shared by a group of activities
+    (the replicas of one activity type); ``role_bits`` maps the names to
+    the same bits for every member, so the recorded mask means the same
+    thing whichever member read it.
     """
-    cases = activity.cases
-    if len(cases) == 1:
-        return None
-    trace = [0]
-    cacheable = True
-    evaluators: list[Callable[[], float]] = []
-    for case in cases:
+
+    __slots__ = ("_role_bits", "_trace")
+
+    def __init__(self, marking, slots: dict[str, int],
+                 role_bits: dict[str, int], trace: list[int]) -> None:
+        super().__init__(marking, slots)
+        self._role_bits = role_bits
+        self._trace = trace
+
+    def __getitem__(self, local: str) -> Any:
+        try:
+            slot = self._slots[local]
+        except KeyError:
+            slot = self._slot(local)
+        self._trace[0] |= self._role_bits[local]
+        return self._marking.values[slot]
+
+
+class _RoleMemo:
+    """A memo shared by a code group, keyed on the values of read roles.
+
+    Members run the same pure code under different bindings, so a value
+    computed for one member from some role values is the value every
+    member computes from the same role values.  ``roles`` names the
+    roles (one bit each); ``slot_maps[m][bit]`` is member ``m``'s slot
+    for role ``bit``, and ``getters[m]`` reads member ``m``'s current key
+    from a row's values.  A miss that reads a role outside the key
+    widens the key for every member and starts the memo over.
+    ``lookups`` and ``fills`` count reads of the memo and stored misses.
+    """
+
+    __slots__ = ("roles", "slot_maps", "key_mask", "getters", "table",
+                 "lookups", "fills")
+
+    def __init__(self, roles: list, slot_maps: list[list[int]]) -> None:
+        self.roles = roles
+        self.slot_maps = slot_maps
+        self.key_mask = 0
+        self.getters: list[Callable[[list], Any]] = [_no_key] * len(slot_maps)
+        self.table: dict = {}
+        self.lookups = 0
+        self.fills = 0
+
+    def clear(self) -> None:
+        """Forget every entry."""
+        self.table.clear()
+
+    def store(self, member: int, values: list, reads: int, value) -> None:
+        """Store ``value`` under member ``member``'s key of ``values``
+        (the values the miss read).  When ``reads`` holds a role outside
+        the key, the key widens and the memo starts over first."""
+        if reads & ~self.key_mask:
+            self.key_mask |= reads
+            bits = [
+                bit for bit in range(self.key_mask.bit_length())
+                if self.key_mask >> bit & 1
+            ]
+            self.getters[:] = [
+                itemgetter(*[slot_map[bit] for bit in bits])
+                for slot_map in self.slot_maps
+            ]
+            self.clear()
+        elif len(self.table) >= _CASE_MEMO_CAP:
+            self.clear()
+        self.fills += 1
+        self.table[self.getters[member](values)] = value
+
+
+def _probability_signature(activity) -> Optional[tuple]:
+    """Code identity of the case probabilities (functions and binding
+    names, in order), or ``None`` when a probability may read an
+    extended place (never cached)."""
+    signature = []
+    for case in activity.cases:
         probability = case.probability
         if isinstance(probability, MarkingFunction):
-            if any(place.is_extended for place in probability.reads()):
-                cacheable = False
-            view = _TracingSlotView(
-                marking, probability.slot_binding(slot_of), trace
+            binding = probability.binding
+            if any(place.is_extended for place in binding.values()):
+                return None
+            signature.append((id(probability.fn), tuple(binding)))
+        else:
+            signature.append(probability)
+    return tuple(signature)
+
+
+def _compile_choosers(
+    activities: list, marking: CompiledMarking, slots: _SlotBindings
+) -> tuple[list, list[_RoleMemo]]:
+    """Case selection per activity, and the engine's case memos.
+
+    Each chooser replays :meth:`_ActivityBase.choose_case` exactly:
+    identical probability evaluation (with the [0,1] clamp and error
+    messages of ``Case.probability_in``), the same sum-to-1 check, and
+    the same single ``choice_index`` draw.  Single-case activities get
+    ``None`` (no draw).
+
+    The validated probability list is memoised in a :class:`_RoleMemo`
+    shared by the activities whose probabilities are the same functions
+    over the same binding names (the 2n replicas of a maneuver), keyed
+    on the values of the roles the functions read.  Case probabilities
+    are pure, so a list computed from the same role values is the list
+    any member's re-evaluation would give.  Errors are never cached, and
+    an activity whose probability may read an extended place keeps the
+    uncached path.
+    """
+    choosers: list = [None] * len(activities)
+    groups: dict[tuple, list[int]] = {}
+    for index, activity in enumerate(activities):
+        if len(activity.cases) == 1:
+            continue
+        signature = _probability_signature(activity)
+        if signature is None:
+            choosers[index] = _uncached_chooser(activity, marking, slots)
+        else:
+            groups.setdefault(signature, []).append(index)
+    memos = []
+    for indices in groups.values():
+        # a role is a (case, name) read; roles bound to the same slot in
+        # every member (the success and failure probabilities of one
+        # maneuver read the same places) share one key position
+        bit_of: dict[tuple, int] = {}
+        role_bit: dict[tuple, int] = {}
+        roles: list[tuple] = []
+        bound = [
+            [
+                slots(case.probability)
+                if isinstance(case.probability, MarkingFunction) else None
+                for case in activities[index].cases
+            ]
+            for index in indices
+        ]
+        for position, case in enumerate(activities[indices[0]].cases):
+            if not isinstance(case.probability, MarkingFunction):
+                continue
+            # the signature fixed the binding names, in order, so the
+            # members' slot dicts line up name by name
+            vectors = zip(*(member[position].values() for member in bound))
+            for name, vector in zip(case.probability.binding, vectors):
+                bit = role_bit[position, name] = bit_of.setdefault(
+                    vector, len(bit_of)
+                )
+                if bit == len(roles):
+                    roles.append((position, name))
+        memo = _RoleMemo(
+            roles,
+            [[vector[member] for vector in bit_of]
+             for member in range(len(indices))],
+        )
+        memos.append(memo)
+        # per case, the bit of each name (the same for every member)
+        case_bits = {}
+        for (position, name), bit in role_bit.items():
+            case_bits.setdefault(position, {})[name] = 1 << bit
+        for member, index in enumerate(indices):
+            choosers[index] = _memo_chooser(
+                activities[index], marking, bound[member], memo, member,
+                case_bits,
             )
+    return choosers, memos
+
+
+def _probability_evaluators(activity, views) -> Callable:
+    """``() -> list``: the validated probability list, the views built
+    by ``views(position, probability)``."""
+    evaluators: list[Callable[[], float]] = []
+    for position, case in enumerate(activity.cases):
+        probability = case.probability
+        if isinstance(probability, MarkingFunction):
+            view = views(position, probability)
             raw = probability.fn
             label = case.label
 
@@ -502,50 +663,58 @@ def _compile_chooser(
             )
         return probs
 
-    if not cacheable:
-        def choose_uncached(stream: RandomStream) -> int:
-            return stream.choice_index(probabilities())
+    return probabilities
 
-        return choose_uncached
 
-    memo: dict = {}
-    key_mask = 0
-    key_of = _no_key
+def _uncached_chooser(activity, marking, slots: _SlotBindings) -> Callable:
+    probabilities = _probability_evaluators(
+        activity,
+        lambda _position, probability: _SlotView(marking, slots(probability)),
+    )
+
+    def choose_uncached(stream: RandomStream) -> int:
+        return stream.choice_index(probabilities())
+
+    return choose_uncached
+
+
+def _memo_chooser(activity, marking, case_slots: list, memo: _RoleMemo,
+                  member: int, case_bits: dict[int, dict]) -> Callable:
+    trace = [0]
+    probabilities = _probability_evaluators(
+        activity,
+        lambda position, _probability: _RoleTracingView(
+            marking, case_slots[position], case_bits[position], trace
+        ),
+    )
+    table = memo.table
+    getters = memo.getters
 
     def choose(stream: RandomStream) -> int:
-        nonlocal key_mask, key_of
         values = marking.values
-        key = key_of(values)
-        probs = memo.get(key)
+        memo.lookups += 1
+        probs = table.get(getters[member](values))
         if probs is None:
             trace[0] = 0
             probs = probabilities()
-            reads = trace[0]
-            if reads & ~key_mask:
-                key_mask |= reads
-                key_of = _key_getter(key_mask)
-                memo.clear()
-                key = key_of(values)
-            elif len(memo) >= _CASE_MEMO_CAP:
-                memo.clear()
-            memo[key] = probs
+            memo.store(member, values, trace[0], probs)
         return stream.choice_index(probs)
 
     return choose
 
 
 def _compile_fire(
-    activity, marking: CompiledMarking, slot_of
+    activity, marking: CompiledMarking, slots: _SlotBindings
 ) -> Callable[[int], None]:
     """Input-gate functions then the chosen case's output gates, in order."""
     input_calls = [
-        (gate.function, _SlotView(marking, gate.slot_binding(slot_of)))
+        (gate.function, _SlotView(marking, slots(gate)))
         for gate in activity.input_gates
         if gate.function is not None
     ]
     case_calls = [
         [
-            (gate.function, _SlotView(marking, gate.slot_binding(slot_of)))
+            (gate.function, _SlotView(marking, slots(gate)))
             for gate in case.output_gates
         ]
         for case in activity.cases
@@ -723,8 +892,8 @@ class FireProgram:
       column snapshot;
     * the only runtime validation the compiled path could fail is a
       negative marking, which only a negative net shift can produce —
-      :meth:`apply` checks exactly those ops and reports ``False`` so the
-      caller can replay the rows through the compiled closures,
+      :meth:`apply_row` checks exactly those ops and reports ``False``
+      so the caller can replay the row through the compiled closures,
       reproducing the exact per-row error.
 
     ``write_mask`` is the union of written slots — a superset of the
@@ -755,32 +924,14 @@ class FireProgram:
         for slot, _src, _delta in self.finals:
             self.write_mask |= 1 << slot
 
-    def apply(self, matrix, rows) -> bool:
-        """Fire the program for ``rows`` (an index array) of ``matrix``.
-
-        Returns ``False`` without touching the matrix when any row would
-        validate-fail (negative marking); the caller replays those rows
-        through the compiled closures to surface the exact error.
-        """
-        # advanced indexing copies, so these are pre-fire snapshots
-        cols = {src: matrix[rows, src] for src in self.srcs}
-        for src, delta in self.checks:
-            if (cols[src] + delta < 0).any():
-                return False
-        for slot, src, delta in self.finals:
-            if src is None:
-                matrix[rows, slot] = delta
-            else:
-                matrix[rows, slot] = cols[src] + delta
-        return True
-
     def apply_row(self, matrix, row: int) -> bool:
-        """Scalar :meth:`apply` for a single row.
+        """Fire the program for one ``row`` of ``matrix``.
 
-        Fancy indexing costs more than it saves on the one- and two-row
-        case groups a step typically shatters into, so callers use this
-        plain-integer path below a small group size.  Same contract:
-        ``False`` (and no writes) when the row would validate-fail.
+        Returns ``False`` without touching the matrix when the row
+        would validate-fail (negative marking); the caller replays it
+        through the compiled closures to surface the exact error.  The
+        stepped engine fires larger row sets of a code group at once,
+        from the members' programs stacked into slot arrays.
         """
         vals = {src: int(matrix[row, src]) for src in self.srcs}
         for src, delta in self.checks:
@@ -915,31 +1066,35 @@ class CompiledJumpEngine:
         # one-cell read-trace accumulator shared by every tracing view;
         # _refresh resets it, evaluates, then harvests the union of reads
         self._trace = [0]
+        slots = _SlotBindings(slot_of)
         self._enabled = [
-            _compile_enabled(activity, marking, slot_of, self._trace)
+            _compile_enabled(activity, marking, slots, self._trace)
             for activity in compiled.timed
         ]
         rate_parts = [
-            _compile_rate(activity, marking, slot_of, self._trace)
+            _compile_rate(activity, marking, slots, self._trace)
             for activity in compiled.timed
         ]
         self._rate_consts = [constant for constant, _ in rate_parts]
         self._rate_fns = [fn for _, fn in rate_parts]
-        self._choosers = [
-            _compile_chooser(activity, marking, slot_of)
-            for activity in compiled.timed
-        ]
+        self._choosers, _memos = _compile_choosers(
+            compiled.timed, marking, slots
+        )
         self._firers = [
-            _compile_fire(activity, marking, slot_of)
+            _compile_fire(activity, marking, slots)
             for activity in compiled.timed
         ]
+        insta_choosers, _memos = _compile_choosers(
+            compiled.instantaneous, marking, slots
+        )
         self._insta = [
             (
-                _compile_enabled(activity, marking, slot_of),
-                _compile_chooser(activity, marking, slot_of),
-                _compile_fire(activity, marking, slot_of),
+                _compile_enabled(activity, marking, slots),
+                chooser,
+                _compile_fire(activity, marking, slots),
             )
-            for activity in compiled.instantaneous
+            for activity, chooser in zip(compiled.instantaneous,
+                                         insta_choosers)
         ]
         # propensity state: original and biased rate tables (0.0 when the
         # activity is disabled or at rate 0), running totals, active count

@@ -13,12 +13,16 @@ the Python-level iteration is **per batch step** rather than per event:
   resolved for the whole step at once — a masked comparison against the
   cumulative-sum rate rows replays ``choice_index``'s left-to-right
   tie-break exactly (``(cumsum <= u).sum()`` ≡ ``bisect_right``);
-* firing is fused: :func:`~repro.san.compiled.trace_fire_programs`
-  precomputes per-(activity, case) **delta programs** — column writes of
-  the form ``const`` or ``initial[slot] + delta`` — applied to all rows
-  that fired the same case in one NumPy operation, with per-row Python
-  values synchronised lazily (a ``stale`` bitmask per row) only when a
-  scalar closure, stop predicate or export actually needs them;
+* firing is fused by *code group* (the replicas of one activity type):
+  :func:`~repro.san.compiled.trace_fire_programs` precomputes
+  per-(activity, case) **delta programs** — column writes of the form
+  ``const`` or ``initial[slot] + delta`` — stacked per group into slot
+  arrays and applied to all rows that fired the same case of any member
+  in one NumPy operation, with per-row Python values synchronised
+  lazily (a ``stale`` bitmask per row) only when a scalar closure, stop
+  predicate or export actually needs them; a branchy case without a
+  program replays its final writes from a per-group **write memo**
+  keyed on the values of the roles it read;
 * the instantaneous-activity check and the stop predicate are lowered
   to column expressions where possible (the check served from one
   direct-address table per gate-code group), so the per-event Python
@@ -31,13 +35,15 @@ Equivalence contract: identical to the batched engine's — per stream,
 runs are **bit-identical** to the compiled engine (draw order, IS
 weights, stop times, final markings) at any batch size.  Every lowering
 above is an exact replay: delta programs reproduce the compiled write
-(and negative-marking error) semantics or fall back per row; the
+(and negative-marking error) semantics or fall back per row; a write
+memo replays only what a real, validated firing from the same role
+values wrote, with the compiled engine's changed mask; the
 instantaneous skip only elides scans that would provably fire nothing
 (which draw nothing and write nothing); lowered stop predicates evaluate
 the same integer comparisons over the matrix.  The one intentional
 divergence is error *ordering* inside a single step when several rows
-raise simultaneously (rows are processed grouped by activity rather than
-by row index), and, as in the batched engine, re-evaluation timing of
+raise simultaneously (rows are processed grouped by code group rather
+than by row index), and, as in the batched engine, re-evaluation timing of
 model-bug errors (negative rates) may differ because changed-slot masks
 are supersets of the compiled engine's.
 
@@ -74,8 +80,9 @@ from repro.san.batched import (
     _Node,
     _tree_expr,
 )
-from repro.san.compiled import trace_fire_programs
+from repro.san.compiled import _RoleMemo, _SlotView, trace_fire_programs
 from repro.san.marking import DeferredMarking
+from repro.san.places import Place
 from repro.san.simulator import SimulationRun
 
 __all__ = ["SteppedJumpEngine"]
@@ -139,8 +146,9 @@ class _PartMemo:
     refresh for good.
     """
 
-    __slots__ = ("member_slots", "member_keys", "shared_slots", "bounds",
-                 "strides", "table", "is_float", "dead", "span", "defer")
+    __slots__ = ("member_slots", "member_cols", "member_keys",
+                 "shared_slots", "signature", "bounds", "strides", "key",
+                 "table", "is_float", "dead", "span", "defer")
 
     def __init__(self, roles: list, is_float: bool,
                  defer: bool = False) -> None:
@@ -155,18 +163,26 @@ class _PartMemo:
         self.member_slots = [
             role for role in unique if (role != role[0]).any()
         ]
+        #: per member role, the matrix columns it reads: a strided slice
+        #: when the role's slots are evenly spaced (every AHS role is),
+        #: else the slot array for a fancy gather
+        self.member_cols = [_columns(role) for role in self.member_slots]
         # cache key per member role: the same per-vehicle flag role is
         # read by many groups, so its gather is shared within a refresh
         self.member_keys = [role.tobytes() for role in self.member_slots]
         self.shared_slots = [
             int(role[0]) for role in unique if not (role != role[0]).any()
         ]
+        #: parts with the same roles and bounds compute the same index
+        #: from the same rows, so one refresh call computes it once
+        self.signature = (tuple(self.member_keys), tuple(self.shared_slots))
         self.bounds = [2] * (len(self.member_slots) + len(self.shared_slots))
         self.is_float = is_float
         #: diagnose-mode flag: derive spans/strides but never allocate
         #: the backing array (the static analyzer only reads the specs)
         self.defer = defer
         self.strides: list = []
+        self.key: tuple = ()
         self.table = None
         self.span = 1
         self.dead = False
@@ -184,6 +200,7 @@ class _PartMemo:
             self.table = None
             return False
         self.strides = strides
+        self.key = (self.signature, tuple(self.bounds))
         if self.defer:
             self.table = None
         elif self.is_float:
@@ -197,34 +214,31 @@ class _PartMemo:
         """Mixed-radix table index per (row, member) — ``(a,)`` when all
         roles are shared, ``(a, G)`` otherwise, ``None`` once dead.
 
-        ``cache`` shares gathered shared-slot columns (and their maxima)
-        across every part refreshed for the same row set within one
-        refresh call — the AHS groups all key on the same few occupancy
-        counters, so most gathers hit it.
+        ``cache`` lives for one refresh call over one row set.  It
+        shares the gathered columns (and their maxima) and the finished
+        index of every role signature across the parts refreshed in
+        that call: the AHS groups key on the same few occupancy counters
+        and per-vehicle flags, so most gathers and indices hit it.
         """
         if self.dead:
             return None
+        memoised = cache.get(self.key)
+        if memoised is not None:
+            return memoised
         n_member = len(self.member_slots)
-        signature = None
-        if not self.member_slots:
-            # fully-shared parts with the same slots converge to the same
-            # bounds (they see the same data), so their mixed-radix index
-            # is identical — compute it once per refresh call
-            signature = (tuple(self.shared_slots), tuple(self.bounds))
-            memoised = cache.get(signature)
-            if memoised is not None:
-                return memoised
-        rows2 = cache.get("rows2")
-        if rows2 is None:
-            rows2 = rows[:, None]
-            cache["rows2"] = rows2
         while True:
             grow = False
             vals_member = []
-            for k, slots in enumerate(self.member_slots):
+            for k, cols in enumerate(self.member_cols):
                 entry = cache.get(self.member_keys[k])
                 if entry is None:
-                    v = matrix[rows2, slots]
+                    if isinstance(cols, slice):
+                        v = matrix[rows, cols]
+                    else:
+                        rows2 = cache.get("rows2")
+                        if rows2 is None:
+                            rows2 = cache["rows2"] = rows[:, None]
+                        v = matrix[rows2, cols]
                     entry = (v, int(v.max()) if v.size else 0)
                     cache[self.member_keys[k]] = entry
                 v, top = entry
@@ -259,17 +273,28 @@ class _PartMemo:
             term = v if stride == 1 else v * stride
             idx_member = term if idx_member is None else idx_member + term
         if idx_member is None:
-            if idx_shared is None:
-                return np.zeros(len(rows), dtype=np.int64)
-            if signature is not None:
-                # bounds may have grown above — key under the final ones
-                cache[tuple(self.shared_slots), tuple(self.bounds)] = (
-                    idx_shared
-                )
-            return idx_shared
-        if idx_shared is not None:
-            idx_member = idx_member + idx_shared[:, None]
-        return idx_member
+            idx = (np.zeros(len(rows), dtype=np.int64)
+                   if idx_shared is None else idx_shared)
+        elif idx_shared is not None:
+            idx = idx_member + idx_shared[:, None]
+        else:
+            idx = idx_member
+        # bounds may have grown above: key under the final ones
+        cache[self.key] = idx
+        return idx
+
+
+def _columns(slots: np.ndarray):
+    """``slots`` as a strided slice when evenly spaced, else the array.
+
+    ``matrix[rows, lo:hi:step]`` gathers (and ``R[rows, lo:hi:step] =``
+    scatters) a ``(rows, G)`` block 2-3x faster than the equivalent
+    2-D fancy index ``matrix[rows[:, None], slots]``.
+    """
+    step = int(slots[1]) - int(slots[0]) if len(slots) > 1 else 1
+    if step > 0 and (np.diff(slots) == step).all():
+        return slice(int(slots[0]), int(slots[-1]) + 1, step)
+    return slots
 
 
 def _name_roles(fn, bindings: list, extended: frozenset, what: str) -> list:
@@ -324,9 +349,17 @@ class _TreeTable:
     evaluating the tree on just the missing rows, so every cached value
     holds exactly the bits a direct full-batch evaluation would produce
     (elementwise ufuncs are bitwise shape-independent).
+
+    A rate table stores the *clamped* rate ``where(raw > 0, raw, 0.0)``
+    (a NaN rate becomes 0.0, as the scalar path treats it), so a
+    refresh only masks it with the gate.  A negative rate is never
+    stored: its entry stays a miss, and the fill leaves the raw values
+    of the missing rows in :attr:`negative` for the caller's
+    gate-masked error check.
     """
 
-    __slots__ = ("names", "evaluate", "memo", "lookups", "fills")
+    __slots__ = ("names", "evaluate", "memo", "lookups", "fills",
+                 "negative")
 
     def __init__(self, names: list, evaluate: Callable,
                  memo: Optional[_PartMemo]) -> None:
@@ -338,6 +371,9 @@ class _TreeTable:
         #: rows looked up in / filled into the table (kernel counters)
         self.lookups = 0
         self.fills = 0
+        #: ``(missing row positions, raw block)`` when the last fill of
+        #: a rate table met a negative rate, else None
+        self.negative: Optional[tuple] = None
 
     def block(self, sub: np.ndarray) -> np.ndarray:
         """``(rows, G)``: the tree evaluated on ``sub``, per member."""
@@ -364,7 +400,14 @@ class _TreeTable:
             block = self.block(matrix[rows[local]])
             target = idx[local]
             # shared-only roles: every member caches the same value
-            memo.table[target] = block[:, 0] if target.ndim == 1 else block
+            fill = block[:, 0] if target.ndim == 1 else block
+            if memo.is_float:
+                negative = fill < 0.0
+                fill = np.where(fill > 0.0, fill, 0.0)
+                if negative.any():
+                    fill[negative] = np.nan
+                    self.negative = (local, block)
+            memo.table[target] = fill
             vals = memo.table[idx]
         return vals
 
@@ -375,16 +418,15 @@ class _TableGroup:
     Splits the group into its gate conjunction and its rate expression,
     each a :class:`_TreeTable`, so the per-step work in the steady
     state collapses to column gathers, two table lookups and one
-    ``where``.
+    ``where``, written back through a strided slice when the group's
+    rate columns are evenly spaced.
 
-    Parity notes: the negative-rate guard runs per step on the gathered
-    values (gate-masked, alive rows only) exactly like the direct
-    refresh; a model whose rate evaluates to NaN never caches (NaN is
-    the miss sentinel), degrading that pathological case to per-step
-    re-evaluation with unchanged semantics.
+    Parity notes: the negative-rate guard runs on the raw values of the
+    rows whose rate missed the table (a negative rate always misses),
+    gate-masked, alive rows only, exactly like the direct refresh.
     """
 
-    __slots__ = ("group", "gate", "rate", "direct")
+    __slots__ = ("group", "gate", "rate", "direct", "cols")
 
     def __init__(self, compiled, group, extended: frozenset,
                  defer: bool = False) -> None:
@@ -392,6 +434,8 @@ class _TableGroup:
         self.gate: Optional[_TreeTable] = None
         self.rate: Optional[_TreeTable] = None
         self.direct = False
+        #: the group's rate columns (slice or index array)
+        self.cols = _columns(group.indices)
         members = [compiled.timed[i] for i in group.indices]
         try:
             gate_roles, rate_roles = self._derive_roles(
@@ -432,6 +476,24 @@ class _TableGroup:
             )
         return _gate_roles(slot_of, members, extended), rate_roles
 
+    def _raise_negative(self, n_rows: int, en) -> None:
+        """Raise the direct refresh's error for the first gate-enabled
+        negative rate of the last fill, if there is one."""
+        local, block = self.rate.negative
+        self.rate.negative = None
+        shape = (n_rows, len(self.group.indices))
+        rates = np.zeros(shape)
+        rates[local] = block
+        negative = rates < 0.0
+        if en is not None:
+            negative &= (en != 0) if en.ndim == 2 else (en != 0)[:, None]
+        if negative.any():
+            row, col = divmod(int(np.argmax(negative)), shape[1])
+            raise ValueError(
+                f"activity {self.group.names[col]!r}: negative rate "
+                f"{float(rates[row, col])}"
+            )
+
     def refresh(self, matrix, rows, Ro, Rb, has_bias: bool,
                 cache: dict) -> None:
         """Refresh the group's rate columns for ``rows``, and no others.
@@ -439,8 +501,8 @@ class _TableGroup:
         A group without live tables evaluates its trees on just ``rows``
         (:meth:`_LoweredGroup.refresh_rows`), so no write reaches a
         finished row or another engine's lane of a multi-point tensor.
-        ``cache`` shares gathered columns between the groups refreshed
-        for the same rows.
+        ``cache`` shares gathered columns and table indices between the
+        groups refreshed for the same rows.
         """
         group = self.group
         en = rt = None
@@ -450,51 +512,272 @@ class _TableGroup:
         if not self.direct and self.rate is not None:
             rt = self.rate.lookup(matrix, rows, cache)
             self.direct = rt is None
+            if self.rate.negative is not None:
+                self._raise_negative(len(rows), en)
         if self.direct:
             group.refresh_rows(matrix, rows, Ro, Rb, has_bias)
             return
 
-        if rt is None and en is None:
-            # gateless constant-rate group: its constants, every row
-            block = np.broadcast_to(
-                group.eff_consts, (len(rows), len(group.indices))
-            )
-        elif rt is None:
-            enabled = en != 0
-            if enabled.ndim == 1:
-                enabled = enabled[:, None]
-            block = np.where(enabled, group.eff_consts, 0.0)
+        if en is not None and en.ndim == 1:
+            en = en[:, None]
+        if rt is None:
+            if en is None:
+                # gateless constant-rate group: its constants, every row
+                block = np.broadcast_to(
+                    group.eff_consts, (len(rows), len(group.indices))
+                )
+            else:
+                block = np.where(en, group.eff_consts, 0.0)
         else:
             if rt.ndim == 1:
                 rt = rt[:, None]
-            positive = rt > 0.0
-            negative = rt < 0.0
-            if en is not None:
-                enabled = en != 0
-                if enabled.ndim == 1:
-                    enabled = enabled[:, None]
-                positive = positive & enabled
-                negative = negative & enabled
-            if negative.any():
-                shape = (len(rows), len(group.indices))
-                flat = np.broadcast_to(negative, shape)
-                row, col = divmod(int(np.argmax(flat)), shape[1])
-                rates = np.broadcast_to(rt, shape)
-                raise ValueError(
-                    f"activity {group.names[col]!r}: negative rate "
-                    f"{float(rates[row, col])}"
-                )
-            block = np.where(positive, rt, 0.0)
-        rows2 = cache.get("rows2")
-        if rows2 is None:
-            rows2 = rows[:, None]
-            cache["rows2"] = rows2
-        Ro[rows2, group.indices] = block
+            # a NaN left by a negative rate is behind a closed gate here
+            block = rt if en is None else np.where(en, rt, 0.0)
+        cols = self.cols
+        if isinstance(cols, slice):
+            target = rows
+        else:
+            target = cache.get("rows2")
+            if target is None:
+                target = cache["rows2"] = rows[:, None]
+        Ro[target, cols] = block
         if has_bias:
             if group.any_factor:
-                Rb[rows2, group.indices] = block * group.factors
+                Rb[target, cols] = block * group.factors
             else:
-                Rb[rows2, group.indices] = block
+                Rb[target, cols] = block
+
+
+def _program_shape(program) -> tuple:
+    """What a delta program does, up to which slots it does it to."""
+    return (
+        tuple((src is None, delta) for _slot, src, delta in program.finals),
+        tuple(delta for _src, delta in program.checks),
+    )
+
+
+class _GroupProgram:
+    """One case's delta programs over a fire group, as slot arrays.
+
+    Every member's program has the same shape, so row ``k`` firing
+    member ``m`` gathers ``gather[m]`` (the shifted finals' sources,
+    then the checked sources), checks, and writes ``shift_slots[m]`` and
+    ``const_slots[m]``: one gather, one check and two scatters for all
+    the group's rows, whichever members they fire.
+    """
+
+    __slots__ = ("gather", "n_shift", "shifts", "check_deltas",
+                 "shift_slots", "const_slots", "consts", "write_masks")
+
+    def __init__(self, programs: list) -> None:
+        template = programs[0]
+        finals = template.finals
+        shift = [j for j, op in enumerate(finals) if op[1] is not None]
+        const = [j for j, op in enumerate(finals) if op[1] is None]
+        self.gather = np.array(
+            [[p.finals[j][1] for j in shift] + [src for src, _d in p.checks]
+             for p in programs],
+            dtype=np.intp,
+        ).reshape(len(programs), -1)
+        self.n_shift = len(shift)
+        self.shifts = np.array([template.finals[j][2] for j in shift],
+                               dtype=np.int64)
+        self.check_deltas = np.array(
+            [delta for _src, delta in template.checks], dtype=np.int64
+        )
+        self.shift_slots = np.array(
+            [[p.finals[j][0] for j in shift] for p in programs],
+            dtype=np.intp,
+        ).reshape(len(programs), -1)
+        self.const_slots = np.array(
+            [[p.finals[j][0] for j in const] for p in programs],
+            dtype=np.intp,
+        ).reshape(len(programs), -1)
+        self.consts = np.array([template.finals[j][2] for j in const],
+                               dtype=np.int64)
+        self.write_masks = [p.write_mask for p in programs]
+
+    def apply(self, matrix, rows: np.ndarray, members: np.ndarray) -> bool:
+        """Fire row ``rows[k]`` as member ``members[k]``, for every k.
+
+        ``False``, with the matrix untouched, when a row would
+        validate-fail (a negative marking); the caller replays the rows
+        through the compiled closures.
+        """
+        rows2 = rows[:, None]
+        n_shift = self.n_shift
+        if self.gather.shape[1]:
+            pre = matrix[rows2, self.gather[members]]
+            if len(self.check_deltas) and (
+                pre[:, n_shift:] + self.check_deltas < 0
+            ).any():
+                return False
+            if n_shift:
+                matrix[rows2, self.shift_slots[members]] = (
+                    pre[:, :n_shift] + self.shifts
+                )
+        if len(self.consts):
+            matrix[rows2, self.const_slots[members]] = self.consts
+        return True
+
+
+class _WriteLog:
+    """What one recorded firing read and wrote, by role bit.
+
+    ``reads`` has the bits of the roles read before the firing wrote
+    them; ``writes`` maps a written role's bit to ``[first value, final
+    value, changed after the first write]``.
+    """
+
+    __slots__ = ("reads", "writes")
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.reads = 0
+        self.writes: dict[int, list] = {}
+
+    def read(self, bit: int) -> None:
+        if bit not in self.writes:
+            self.reads |= 1 << bit
+
+    def wrote(self, bit: int, value) -> None:
+        entry = self.writes.get(bit)
+        if entry is None:
+            self.writes[bit] = [value, value, False]
+        else:
+            if value != entry[1]:
+                entry[2] = True
+            entry[1] = value
+
+
+class _RecordingView(_SlotView):
+    """A gate view that fires for real and logs roles read and written."""
+
+    __slots__ = ("_log", "_bit")
+
+    def __init__(self, marking, slots: dict[str, int], log: _WriteLog,
+                 bit: dict[str, int]) -> None:
+        super().__init__(marking, slots)
+        self._log = log
+        self._bit = bit
+
+    def __getitem__(self, local: str):
+        value = _SlotView.__getitem__(self, local)
+        self._log.read(self._bit[local])
+        return value
+
+    def __setitem__(self, local: str, value) -> None:
+        slot = self._slot(local)
+        marking = self._marking
+        marking.set_slot(slot, value)
+        self._log.wrote(self._bit[local], marking.values[slot])
+
+    def inc(self, local: str, amount: int = 1) -> None:
+        slot = self._slot(local)
+        marking = self._marking
+        bit = self._bit[local]
+        self._log.read(bit)
+        marking.set_slot(slot, marking.values[slot] + amount)
+        self._log.wrote(bit, marking.values[slot])
+
+
+def _fire_gates(activity, case: int) -> list:
+    """The gates a firing of ``activity``'s ``case`` runs, in order."""
+    return [
+        gate for gate in activity.input_gates if gate.function is not None
+    ] + list(activity.cases[case].output_gates)
+
+
+def _memo_binding(gate_slots: list, plain: list,
+                  checked: dict) -> Optional[tuple]:
+    """``(name -> slot, sorted names)`` over one firing's gates, or None.
+
+    ``gate_slots`` are the firing's gate bindings (interned, so the
+    gates of one vehicle usually share one dict).  A write memo serves a
+    member only when its firing names each slot once: every gate binds
+    a name to the same slot, no two names share a slot (so a role's
+    recorded writes are the slot's writes), and every slot is a plain
+    integer place (so validation depends on the value alone, and the
+    matrix mirrors it).  ``checked`` caches the answer per shared dict.
+    """
+    binding = gate_slots[0] if gate_slots else {}
+    shared = all(slots is binding for slots in gate_slots)
+    if shared and id(binding) in checked:
+        return checked[id(binding)]
+    if not shared:
+        binding = {}
+        for slots in gate_slots:
+            for name, slot in slots.items():
+                if binding.setdefault(name, slot) != slot:
+                    return None
+    values = binding.values()
+    answer = None
+    if len(set(values)) == len(binding) and all(
+        plain[slot] for slot in values
+    ):
+        answer = (binding, tuple(sorted(binding)))
+    if shared:
+        checked[id(binding)] = answer
+    return answer
+
+
+class _WriteMemo(_RoleMemo):
+    """The final writes of one branchy (fire group, case), by role values.
+
+    The roles are the binding names of the firing's gates.  A miss runs
+    the member's real closures through recording views (the firing
+    happens, validated, as on the closure path) and, unless it raised,
+    stores the written roles as ``(role bit, first value, final value,
+    changed after the first write)`` tuples.  (Members bind plain
+    integer places only, so a ``tuple_set`` raises like any error.)
+    Gate functions are pure, so a firing from the same values of the
+    roles read writes the same values; a hit reads each role's slot from
+    the member's precomputed ``slot_maps`` row.
+    """
+
+    __slots__ = ("recorders", "log")
+
+    def __init__(self, roles: list, slot_maps: list) -> None:
+        super().__init__(roles, slot_maps)
+        #: per member, its firing through recording views
+        self.recorders: list[Callable[[], None]] = []
+        self.log = _WriteLog()
+
+    def record(self, member: int, values: list) -> None:
+        """Fire member ``member`` on the cursor's row, whose values are
+        ``values``, and store what it wrote."""
+        before = list(values)
+        log = self.log
+        log.reset()
+        self.recorders[member]()
+        self.store(member, before, log.reads, tuple(
+            (bit, first, final, later)
+            for bit, (first, final, later) in log.writes.items()
+        ))
+
+
+class _FireGroup:
+    """Timed activities that fire the same code, fired together.
+
+    Members are the replicas of one activity type: the same input-gate
+    functions and, per case, the same output-gate functions, delta
+    programs of one shape (or none), and the same write-memo
+    eligibility.  Per case, ``programs`` holds the group's
+    :class:`_GroupProgram` and ``memos`` its :class:`_WriteMemo` (None
+    where the case has no program, or no memo).
+    """
+
+    __slots__ = ("indices", "programs", "memos", "tabulated")
+
+    def __init__(self, indices: list, programs: list,
+                 tabulated: list) -> None:
+        self.indices = indices
+        self.programs = programs
+        #: per case, whether a write memo serves it (diagnose mode too)
+        self.tabulated = tabulated
+        self.memos: list[Optional[_WriteMemo]] = [None] * len(programs)
 
 
 class SteppedJumpEngine(BatchedJumpEngine):
@@ -521,6 +804,11 @@ class SteppedJumpEngine(BatchedJumpEngine):
             trace_fire_programs(compiled, activity)
             for activity in compiled.timed
         ]
+        #: the fire groups, and per timed activity its group and its
+        #: member position there
+        self._fire_groups, self._fire_group_of, self._fire_pos = (
+            self._bind_fire_groups()
+        )
         extended = frozenset(
             slot for slot, place in enumerate(compiled.places)
             if place.is_extended
@@ -550,6 +838,100 @@ class SteppedJumpEngine(BatchedJumpEngine):
         # stop-predicate lowering cache: id → (predicate, expr or None);
         # the strong predicate reference prevents id reuse
         self._stop_cache: dict[int, tuple] = {}
+        self._slot_bindings = None  # the bind is over
+
+    def _bind_fire_groups(self) -> tuple:
+        """Group the timed activities by fire code (:class:`_FireGroup`).
+
+        A case without a delta program gets a write memo when its
+        firing names each slot once (:func:`_memo_binding`); diagnose
+        mode records that, but builds no memo.
+        """
+        compiled = self.compiled
+        slot_of = compiled.slot_of
+        plain = [
+            type(place).validate_value is Place.validate_value
+            for place in compiled.places
+        ]
+        signatures: dict[tuple, list[int]] = {}
+        #: per activity and case, its gates' bindings and memo binding
+        bindings: list[list] = []
+        slots = self._slot_bindings
+        checked: dict[int, bool] = {}
+        for index, activity in enumerate(compiled.timed):
+            cases = []
+            member = []
+            for case, program in enumerate(self._fire_programs[index]):
+                memo_binding = gate_slots = None
+                if program is None:
+                    gate_slots = [
+                        slots(gate) for gate in _fire_gates(activity, case)
+                    ]
+                    memo_binding = _memo_binding(gate_slots, plain, checked)
+                member.append((gate_slots, memo_binding))
+                cases.append((
+                    tuple(id(gate.function)
+                          for gate in activity.cases[case].output_gates),
+                    None if program is None else _program_shape(program),
+                    None if memo_binding is None else memo_binding[1],
+                ))
+            bindings.append(member)
+            signature = (
+                tuple(id(gate.function) for gate in activity.input_gates
+                      if gate.function is not None),
+                tuple(cases),
+            )
+            signatures.setdefault(signature, []).append(index)
+        groups: list[_FireGroup] = []
+        group_of = [0] * compiled.n_timed
+        position = [0] * compiled.n_timed
+        for (_inputs, cases), indices in signatures.items():
+            for pos, index in enumerate(indices):
+                group_of[index] = len(groups)
+                position[index] = pos
+            group = _FireGroup(
+                indices,
+                [
+                    None if shape is None else _GroupProgram(
+                        [self._fire_programs[i][case] for i in indices]
+                    )
+                    for case, (_outputs, shape, _names) in enumerate(cases)
+                ],
+                [names is not None for _outputs, _shape, names in cases],
+            )
+            for case, (_outputs, _shape, names) in enumerate(cases):
+                if names is None or self.diagnose:
+                    continue
+                memo = _WriteMemo(
+                    list(names),
+                    [[bindings[i][case][1][0][name] for name in names]
+                     for i in indices],
+                )
+                bit = {name: b for b, name in enumerate(names)}
+                memo.recorders = [
+                    self._recorder(compiled.timed[i], case,
+                                   bindings[i][case][0], memo.log, bit)
+                    for i in indices
+                ]
+                group.memos[case] = memo
+            groups.append(group)
+        return groups, group_of, position
+
+    def _recorder(self, activity, case: int, gate_slots: list,
+                  log: _WriteLog, bit: dict[str, int]) -> Callable[[], None]:
+        """The real firing of ``activity``'s ``case`` on the cursor's
+        row, through views (over ``gate_slots``) that log it into
+        ``log``."""
+        calls = [
+            (gate.function, _RecordingView(self._cursor, slot_map, log, bit))
+            for gate, slot_map in zip(_fire_gates(activity, case), gate_slots)
+        ]
+
+        def fire() -> None:
+            for function, view in calls:
+                function(view)
+
+        return fire
 
     def _lower_insta(self, extended: frozenset) -> Optional[list]:
         """Per gate-code group of instantaneous activities, its table.
@@ -688,6 +1070,10 @@ class SteppedJumpEngine(BatchedJumpEngine):
             lowered += sum(1 for program in programs if program is not None)
         stats["fire_cases"] = cases
         stats["fire_lowered"] = lowered
+        stats["fire_tabulated"] = sum(
+            len(group.indices) * sum(group.tabulated)
+            for group in self._fire_groups
+        )
         insta = self._insta_tables or []
         stats["insta_lowered"] = int(self._insta_tables is not None)
         stats["insta_groups"] = len(insta)
@@ -708,12 +1094,20 @@ class SteppedJumpEngine(BatchedJumpEngine):
         ``events`` counts timed firings; ``insta_lookups`` and
         ``insta_fills`` count rows looked up in and filled into the
         instantaneous-gate tables (once per group); ``insta_scans``
-        counts rows that ran the per-row stabilisation scan; and
-        ``closure_firings`` counts firings replayed through the per-row
-        compiled closures.  :func:`_step_loop` updates them for per-point
-        and tensor runs alike; no counter touches a stream.
+        counts rows that ran the per-row stabilisation scan;
+        ``closure_firings`` counts firings that ran the compiled
+        closures (write-memo misses included); ``case_lookups`` and
+        ``case_fills`` count case choices read from and stored into the
+        shared case-choice memos; and ``write_lookups`` and
+        ``write_fills`` count firings looked up in and stored into the
+        write memos.  :func:`_step_loop` updates them for per-point and
+        tensor runs alike; no counter touches a stream.
         """
         insta = self._insta_tables or []
+        memos = [
+            memo for group in self._fire_groups for memo in group.memos
+            if memo is not None
+        ]
         return {
             "steps": self._steps,
             "row_steps": self._row_steps,
@@ -722,6 +1116,10 @@ class SteppedJumpEngine(BatchedJumpEngine):
             "insta_fills": sum(table.fills for table in insta),
             "insta_scans": self._insta_scans,
             "closure_firings": self._closure_firings,
+            "case_lookups": sum(memo.lookups for memo in self._case_memos),
+            "case_fills": sum(memo.fills for memo in self._case_memos),
+            "write_lookups": sum(memo.lookups for memo in memos),
+            "write_fills": sum(memo.fills for memo in memos),
         }
 
     # ------------------------------------------------------------------
@@ -1038,27 +1436,29 @@ def _step_loop(jobs: list) -> list[list[SimulationRun]]:
             engine, cursor = lane.engine, lane.cursor
             lane_rows = fired_rows[start:stop]
 
-            # phase 3: fused firing, grouped by (activity, case)
+            # phase 3: fused firing, grouped by (fire group, case)
+            fire_group_of = engine._fire_group_of
+            fire_pos = engine._fire_pos
             groups: dict[int, list[int]] = {}
             for k in range(start, stop):
-                groups.setdefault(chosen[k], []).append(k)
-            for index, members in groups.items():
-                chooser = engine._choosers[index]
-                if chooser is None:
+                groups.setdefault(fire_group_of[chosen[k]], []).append(k)
+            for gid, members in groups.items():
+                group = engine._fire_groups[gid]
+                if len(group.programs) == 1:
                     by_case = {0: members}
                 else:
+                    choosers = engine._choosers
                     by_case = {}
                     for k in members:
                         row = fired_rows[k]
                         sync(row)
                         cursor.set_row(row)
                         by_case.setdefault(
-                            chooser(streams_of[row]), []
+                            choosers[chosen[k]](streams_of[row]), []
                         ).append(k)
-                programs = engine._fire_programs[index]
-                firer = engine._firers[index]
                 for case, ks in by_case.items():
-                    program = programs[case]
+                    program = group.programs[case]
+                    memo = group.memos[case]
                     if program is not None:
                         if len(ks) <= 2:
                             # tiny groups: plain-integer writes beat the
@@ -1067,17 +1467,18 @@ def _step_loop(jobs: list) -> list[list[SimulationRun]]:
                             # replays the whole group through the same
                             # closures with identical values and the
                             # same first-offender error)
-                            write_mask = program.write_mask
                             for k in ks:
                                 row = fired_rows[k]
-                                if program.apply_row(matrix, row):
-                                    stale[row] |= write_mask
-                                    changed_masks[row] |= write_mask
+                                index = chosen[k]
+                                own = engine._fire_programs[index][case]
+                                if own.apply_row(matrix, row):
+                                    stale[row] |= own.write_mask
+                                    changed_masks[row] |= own.write_mask
                                 else:
                                     sync(row)
                                     cursor.set_row(row)
                                     cursor.changed_mask = 0
-                                    firer(case)
+                                    engine._firers[index](case)
                                     changed_masks[row] |= (
                                         cursor.clear_changed_mask()
                                     )
@@ -1088,13 +1489,47 @@ def _step_loop(jobs: list) -> list[list[SimulationRun]]:
                             dtype=np.intp,
                             count=len(ks),
                         )
-                        if program.apply(matrix, krows):
-                            write_mask = program.write_mask
-                            for k in ks:
+                        kpos = [fire_pos[chosen[k]] for k in ks]
+                        if program.apply(matrix, krows,
+                                         np.array(kpos, dtype=np.intp)):
+                            write_masks = program.write_masks
+                            for k, pos in zip(ks, kpos):
                                 row = fired_rows[k]
-                                stale[row] |= write_mask
-                                changed_masks[row] |= write_mask
+                                stale[row] |= write_masks[pos]
+                                changed_masks[row] |= write_masks[pos]
                             continue
+                    elif memo is not None:
+                        # branchy case: the memo's final writes, written
+                        # into the row's values and the matrix alike
+                        memo.lookups += len(ks)
+                        table = memo.table
+                        getters = memo.getters
+                        slot_maps = memo.slot_maps
+                        for k in ks:
+                            row = fired_rows[k]
+                            sync(row)
+                            row_values = values[row]
+                            pos = fire_pos[chosen[k]]
+                            writes = table.get(getters[pos](row_values))
+                            if writes is None:
+                                cursor.set_row(row)
+                                cursor.changed_mask = 0
+                                memo.record(pos, row_values)
+                                changed_masks[row] |= (
+                                    cursor.clear_changed_mask()
+                                )
+                                engine._closure_firings += 1
+                                continue
+                            slot_map = slot_maps[pos]
+                            mask = 0
+                            for bit, first, final, later in writes:
+                                slot = slot_map[bit]
+                                if later or row_values[slot] != first:
+                                    mask |= 1 << slot
+                                row_values[slot] = final
+                                matrix[row, slot] = final
+                            changed_masks[row] |= mask
+                        continue
                     # unlowered case, or a row would validate-fail:
                     # compiled closures reproduce the exact semantics
                     engine._closure_firings += len(ks)
@@ -1103,7 +1538,7 @@ def _step_loop(jobs: list) -> list[list[SimulationRun]]:
                         sync(row)
                         cursor.set_row(row)
                         cursor.changed_mask = 0
-                        firer(case)
+                        engine._firers[chosen[k]](case)
                         changed_masks[row] |= cursor.clear_changed_mask()
 
             # phase 4: instantaneous stabilisation — scan only the rows

@@ -94,8 +94,10 @@ class TestAnalyticalVsSimulation:
         estimate = TransientEstimate.from_indicator_runs([horizon], runs)
         value = estimate.values[0]
         half = estimate.half_widths[0]
-        # at this failure density the decomposition assumption (failures
-        # slow vs. movement) starts to strain: allow a generous band
+        # the lumped analytical engine runs low at small n whatever the
+        # failure density: against the exact replica-lumped chain at
+        # n = 2 it is 29-32% low at every lambda from 1e-2 to 1e-5, so
+        # the band needs a slack above that
         assert abs(value - analytical) < 3 * half + 0.5 * analytical
 
 

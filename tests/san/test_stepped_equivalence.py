@@ -335,8 +335,12 @@ def test_ahs_models_fully_lowered(strategy, n):
     assert stats["fallback"] == 0
     assert stats["timed_activities"] == stats["lowered"]
     # straight-line firings (join/leave/change/transit) carry fused
-    # delta-matrix programs; branchy ones replay per row by design
+    # delta-matrix programs; the branchy failure and maneuver ones are
+    # served by write memos
     assert 0 < stats["fire_lowered"] < stats["fire_cases"]
+    assert stats["fire_lowered"] + stats["fire_tabulated"] == (
+        stats["fire_cases"]
+    )
     assert stats["insta_lowered"] == 1
     # one instantaneous-gate table per gate-code group (the configure
     # replicas and to_KO), each within the span cap
