@@ -1,6 +1,6 @@
 """Determinism lints (rules DT001-DT003).
 
-Every engine (interpreted, compiled, batched) and every worker count must
+Every engine (interpreted, compiled, stepped) and every worker count must
 produce bit-identical trajectories from the same seed.  Gate code that
 consults wall-clock time, the process environment, or an unseeded RNG
 breaks that immediately (DT001); iterating over a set makes behaviour

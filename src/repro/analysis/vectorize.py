@@ -1,6 +1,6 @@
 """Vectorization report (rules VEC001-VEC003).
 
-Runs the batched engine's compile pass in diagnose mode (nothing is
+Runs the stepped engine's lowering pass in diagnose mode (nothing is
 simulated) and reports which timed activities lowered to fused NumPy
 column kernels and which fell back to per-row compiled closures — with
 the recorded ``_CannotLower`` reason, so a perf cliff shows up in lint
@@ -61,7 +61,7 @@ def check_vectorization(model: SANModel) -> Iterator[Diagnostic]:
         )
         yield Diagnostic(
             "VEC003",
-            f"batched engine not applicable ({reason}); "
+            f"stepped engine not applicable ({reason}); "
             f"vectorization report skipped",
         )
         return
@@ -86,6 +86,6 @@ def check_vectorization(model: SANModel) -> Iterator[Diagnostic]:
         yield Diagnostic(
             "VEC002",
             f"{fallback}/{timed} timed activities are not vectorized; "
-            f"the batched engine will run mostly on the per-row "
+            f"the stepped engine will run mostly on the per-row "
             f"fallback, forfeiting its throughput advantage",
         )

@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=256,
-        help="lockstep width for the stepped and batched engines "
+        help="lockstep width for the stepped engine "
         "(throughput knob only; results are bit-identical at any width)",
     )
     uns.add_argument(
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=256,
-        help="lockstep width for the stepped and batched engines",
+        help="lockstep width for the stepped engine",
     )
     trc.add_argument(
         "--boost",

@@ -108,8 +108,8 @@ def unsafety(
         debugging gate code.  Splitting always runs on the compiled
         engine.  ``analytical`` and ``approx`` ignore it.
     batch_size:
-        Lockstep width for the ``"stepped"`` and ``"batched"`` engines
-        (ignored by the others).  Purely a throughput knob — estimates,
+        Lockstep width for the ``"stepped"`` engine (ignored by the
+        others).  Purely a throughput knob — estimates,
         draw counts and IS weights are identical at every width.
     observer:
         Optional observability hook (typically

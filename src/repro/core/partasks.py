@@ -177,12 +177,12 @@ class UnsafetySimulationTask:
         return callable(getattr(context.simulator, "run_batch", None))
 
     def sample_batch(self, context: _SimContext, streams) -> np.ndarray:
-        """All replications of a chunk through the batched kernel.
+        """All replications of a chunk through the stepped kernel.
 
         Slices the chunk's streams into lockstep batches of
         ``batch_size`` and reduces each batch's runs with
         :meth:`samples_from_runs`; row ``i`` of the result is
-        bit-identical to ``sample(context, streams[i])`` (the batched
+        bit-identical to ``sample(context, streams[i])`` (the stepped
         engine preserves per-stream draw order at any width).
         """
         out = np.zeros((len(streams), len(context.times)), dtype=float)
@@ -259,7 +259,7 @@ class UnsafetySimulationTask:
         return context.recorder.summary().to_dict()
 
     def cache_token(self) -> dict:
-        # batch_size is deliberately absent: the batched engine is
+        # batch_size is deliberately absent: the stepped engine is
         # bit-identical at every width, so results (and worker contexts)
         # are shareable across batch sizes
         token = {

@@ -97,9 +97,8 @@ class ImportanceSamplingEstimator:
         the underlying engine.  Instrumentation never touches the RNG
         stream, so the likelihood-ratio weights are unchanged by it.
     batch_size:
-        Lockstep width for the ``"stepped"`` and ``"batched"`` engines
-        (other engines ignore it); the weights are bit-identical at any
-        width.
+        Lockstep width for the ``"stepped"`` engine (other engines
+        ignore it); the weights are bit-identical at any width.
     """
 
     def __init__(

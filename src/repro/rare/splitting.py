@@ -63,11 +63,10 @@ class FixedEffortSplitting:
     engine:
         Jump-engine selection (see :data:`repro.san.compiled.ENGINES`);
         all engines produce bit-identical stage trajectories per seed.
-        Splitting only runs path segments, which the batch engines
-        (``"batched"``, ``"stepped"``) hand to a per-row compiled
-        engine anyway, so for them a :class:`~repro.san.compiled.
-        CompiledJumpEngine` is built directly and their lowering pass
-        is skipped.
+        Splitting only runs path segments, which the stepped engine
+        hands to a per-row compiled engine anyway, so for it a
+        :class:`~repro.san.compiled.CompiledJumpEngine` is built
+        directly and its lowering pass is skipped.
     """
 
     def __init__(
@@ -86,7 +85,7 @@ class FixedEffortSplitting:
             raise ValueError(f"levels must be strictly increasing, got {levels}")
         if trials_per_stage < 2:
             raise ValueError("trials_per_stage must be >= 2")
-        if engine in ("batched", "stepped"):
+        if engine == "stepped":
             engine = "compiled"
         self.simulator = make_jump_engine(model, engine=engine, observer=observer)
         self.model = model

@@ -138,7 +138,11 @@ def _job_chunk_id(key: Any, fn: Callable) -> str:
 
 
 def _execute_chunk(
-    task: ReplicationTask, plan: ReplicationPlan, spec: ChunkSpec
+    task: ReplicationTask,
+    plan: ReplicationPlan,
+    spec: ChunkSpec,
+    cache: Optional[ResultCache] = None,
+    key: Optional[str] = None,
 ) -> ChunkSummary:
     """Run one chunk of replications and reduce it to its summary.
 
@@ -147,6 +151,12 @@ def _execute_chunk(
     before/after delta (cached simulators carry lifetime counters), and
     tasks exposing ``sample_batch``/``sample_into`` get the allocation-
     free sampling paths.
+
+    Given a ``cache``, the summary is also persisted worker-side under
+    ``key``.  The write is atomic (temp file + rename), so a worker
+    killed mid-run leaves either a complete entry or none — an
+    interrupted multi-round run can resume from exactly the chunks that
+    finished.
     """
     started = time.perf_counter()
     build_cached = getattr(task, "build_cached", None)
@@ -182,7 +192,7 @@ def _execute_chunk(
     draws = sum(stream.draw_count for stream in streams)
     events = (task.events_of(context) - events_before) if has_events else 0
     metrics = task.metrics_of(context) if hasattr(task, "metrics_of") else None
-    return ChunkSummary.from_samples(
+    summary = ChunkSummary.from_samples(
         spec.index,
         samples,
         draws=draws,
@@ -192,6 +202,9 @@ def _execute_chunk(
         metrics=metrics,
         compile_seconds=compile_seconds,
     )
+    if cache is not None:
+        cache.put(key, summary.to_cache_dict())
+    return summary
 
 
 def _chunk_cache_key(
@@ -214,24 +227,6 @@ def _chunk_cache_key(
             "count": spec.count,
         }
     )
-
-
-def _execute_chunk_cached(
-    task: ReplicationTask,
-    plan: ReplicationPlan,
-    spec: ChunkSpec,
-    cache: ResultCache,
-    key: str,
-) -> ChunkSummary:
-    """Run one chunk and persist its summary worker-side.
-
-    The cache write is atomic (temp file + rename), so a worker killed
-    mid-run leaves either a complete entry or none — an interrupted
-    multi-round run can resume from exactly the chunks that finished.
-    """
-    summary = _execute_chunk(task, plan, spec)
-    cache.put(key, summary.to_cache_dict())
-    return summary
 
 
 def _execute_chunk_group(
@@ -278,7 +273,7 @@ def _execute_chunk_group_tensorized(
     results: list[Optional[tuple[Any, Any]]] = [None] * len(subjobs)
     tensor_entries: list[tuple] = []
     for pos, (key, fn, args) in enumerate(subjobs):
-        if fn in (_execute_chunk, _execute_chunk_cached):
+        if fn is _execute_chunk:
             task = args[0]
             tensorizable = getattr(task, "tensorizable", None)
             if (
@@ -319,8 +314,8 @@ def _execute_chunk_group_tensorized(
         total_rows = sum(len(streams) for streams in streams_of_entry) or 1
         for entry, streams, runs in zip(entries, streams_of_entry,
                                         runs_of_job):
-            pos, key, fn, args, context = entry[:5]
-            task, _plan, spec = args[0], args[1], args[2]
+            pos, key, _fn, args, context = entry[:5]
+            task, _plan, spec, *cache_write = args
             samples = np.asarray(
                 task.samples_from_runs(context, runs), dtype=float
             )
@@ -341,8 +336,8 @@ def _execute_chunk_group_tensorized(
                     getattr(context, "compile_seconds", 0.0)
                 ),
             )
-            if fn is _execute_chunk_cached:
-                cache, entry_key = args[3], args[4]
+            if cache_write and cache_write[0] is not None:
+                cache, entry_key = cache_write
                 cache.put(entry_key, summary.to_cache_dict())
             results[pos] = (key, summary)
     return results  # type: ignore[return-value]
@@ -489,7 +484,7 @@ class ParallelRunner:
         if self.events is None:
             return
         bundle = None
-        if fn in (_execute_chunk, _execute_chunk_cached):
+        if fn is _execute_chunk:
             bundle = forensic_bundle(args[0], args[1], args[2])
         tb = "".join(
             _traceback.format_exception(type(exc), exc, exc.__traceback__)
@@ -926,12 +921,10 @@ class ParallelRunner:
                 if summary is not None:
                     cached.append(summary)
                     continue
-                jobs[job_key] = (
-                    _execute_chunk_cached,
-                    (task, plan, spec, self.cache, entry_key),
-                )
+                args = (task, plan, spec, self.cache, entry_key)
             else:
-                jobs[job_key] = (_execute_chunk, (task, plan, spec))
+                args = (task, plan, spec)
+            jobs[job_key] = (_execute_chunk, args)
             self._emit(
                 ChunkScheduled(
                     chunk_id=_chunk_id(job_key),

@@ -1,22 +1,22 @@
-"""Batched SAN execution: a NumPy structure-of-arrays replication kernel.
+"""The lowering pass of the lockstep batch engine.
 
 The compiled engine (:mod:`repro.san.compiled`) advances one replication
 at a time: every jump pays Python-level closure calls for the affected
-gates plus an O(activities) total-rate reduction.  This module amortises
-that cost over a *batch* of B replications advanced in lockstep:
+gates plus an O(activities) total-rate reduction.  The stepped engine
+(:mod:`repro.san.stepped`) amortises that cost over a *batch* of B
+replications advanced in lockstep.  :class:`BatchedJumpEngine` is its
+base class and holds what the batch kernel is built from:
 
 * the batch's markings live in a ``(B, n_places)`` int64 matrix (column
   major, so per-place columns are contiguous) mirrored from exact
-  per-row Python values;
+  per-row Python values through a :class:`_BatchCursor`;
 * a lowering pass translates the paper model's gate predicates and rate
   functions — threshold comparisons and arithmetic on place markings —
-  into vectorized column expressions, evaluated once per changed place
-  for all B rows instead of once per row;
-* per-row propensity vectors (rows of the ``(B, n_activities)`` rate
-  tables) are maintained incrementally through the same changed-slot
-  bitmask protocol as the compiled engine;
-* rows that absorb (stop predicate), deadlock, or reach the horizon are
-  masked out while the rest of the batch keeps running.
+  into vectorized column expressions, traced once per *code group* (the
+  replicas of one activity type) and evaluated over ``(B, G)`` column
+  blocks (:class:`_LoweredGroup`);
+* a slot → group reverse index says which groups a firing's changed
+  slots make stale.
 
 Any gate that resists lowering (writes, extended places, ``float()``
 coercions, data-dependent Python control flow beyond branch-enumerable
@@ -25,24 +25,16 @@ that reuses the compiled engine's tracing closures — arbitrary SANs
 still run, only the lowered fraction of the model gets the vector
 speedup.
 
-Equivalence contract (``tests/san/test_batched_equivalence``): each row
-draws from its *own* :class:`~repro.stochastic.rng.RandomStream` in
-exactly the compiled engine's order, totals are reduced with
-``np.cumsum`` (strictly sequential, bitwise equal to the interpreted
-engine's left-to-right sum) and activity selection replays
-``choice_index`` via ``np.searchsorted`` (bitwise equal to
-``bisect_right``).  Runs are therefore **bit-identical** to the compiled
-engine — same draw counts, weights, stop times and final markings — at
-*any* batch size, including under importance-sampling bias.
-
-Observers force the per-row fallback path: with an observer attached,
-``run_batch`` delegates row by row to an internal
-:class:`~repro.san.compiled.CompiledJumpEngine` sharing the same compile
-pass, preserving the trace ordering and RNG-invariance guarantees of the
-observability layer.  ``run`` (a single replication) and ``simulate``
-(splitting segments, arbitrary start markings, level functions) always
-delegate.  The delegate is built on first use, so unobserved
-``run_batch`` callers never pay for its closures.
+The class also carries the shared engine surface: constructor
+validation, the per-row compiled delegate that ``run`` (a single
+replication), ``simulate`` (splitting segments, arbitrary start
+markings, level functions) and observed batches go to — built on first
+use, so unobserved batch callers never pay for its closures — and
+diagnose mode (lowering facts without runtime closures).  It has no
+batch loop of its own: :meth:`SteppedJumpEngine.run_batch
+<repro.san.stepped.SteppedJumpEngine.run_batch>` runs the lockstep
+batches, bit-identical per stream to the compiled engine at any batch
+size.
 
 See ``docs/engine_perf.md`` for layout details and batch-size guidance.
 """
@@ -71,7 +63,6 @@ from repro.san.simulator import (
     MAX_INSTANTANEOUS_CHAIN,
     SimulationRun,
     UnstableMarkingError,
-    _RewardIntegrator,
 )
 from repro.stochastic.rng import RandomStream
 
@@ -423,64 +414,19 @@ class _LoweredGroup:
         self.any_factor = bool((factors != 1.0).any())
         self.reads_mask = reads_mask
 
-    def refresh(self, M, Ro, Rb, alive, has_bias: bool) -> None:
-        """Recompute the group's rate columns from the matrix.
-
-        Pure block math over all B rows and all G members (recomputing
-        unchanged lanes is bitwise harmless); only the negative-rate
-        guard is restricted to live rows, matching the compiled engine's
-        evaluate-on-demand error surface.
-        """
-        shape = (M.shape[0], len(self.indices))
-        enabled = None
-        for expr in self.gate_exprs:
-            gate = np.asarray(expr(M)) != 0
-            enabled = gate if enabled is None else (enabled & gate)
-        if enabled is not None and enabled.ndim != 2:
-            enabled = np.broadcast_to(enabled, shape)
-        if self.rate_expr is None:
-            if enabled is None:
-                block = np.broadcast_to(self.eff_consts, shape)
-            else:
-                block = np.where(enabled, self.eff_consts, 0.0)
-        else:
-            rates = np.asarray(self.rate_expr(M), dtype=np.float64)
-            if rates.ndim != 2:
-                rates = np.broadcast_to(rates, shape)
-            # NaN rates count as "not > 0" (disabled), like the scalar path
-            positive = rates > 0.0
-            negative = alive[:, None] & (rates < 0.0)
-            if enabled is not None:
-                positive = enabled & positive
-                negative = enabled & negative
-            if negative.any():
-                row, col = divmod(int(np.argmax(negative)), shape[1])
-                raise ValueError(
-                    f"activity {self.names[col]!r}: negative rate "
-                    f"{float(rates[row, col])}"
-                )
-            block = np.where(positive, rates, 0.0)
-        Ro[:, self.indices] = block
-        if has_bias:
-            if self.any_factor:
-                Rb[:, self.indices] = block * self.factors
-            else:
-                Rb[:, self.indices] = block
-
     def refresh_rows(self, M, rows, Ro, Rb, has_bias: bool) -> None:
-        """Row-restricted :meth:`refresh`, the stepped engine's escape.
+        """Recompute the group's rate columns on ``rows`` only.
 
         The stepped engine's step loop refreshes an untabulated group
-        through this method.  A multi-point tensor holds rows of
-        *different* models in one matrix, so a full-matrix refresh would
-        scribble this group's rate columns over sibling points' rows
-        (and evaluate its trees on foreign markings).  This variant
-        evaluates the same lowered expressions on the ``rows``
-        sub-matrix — elementwise ufuncs are bitwise shape-independent,
-        so the written lanes hold exactly the full-matrix values — and
-        writes only those rows.  Callers pass the owning engine's
-        *alive* rows, which keeps the negative-rate guard on the same
-        rows the full refresh restricts it to.
+        through this method.  It evaluates the lowered expressions on
+        the ``rows`` sub-matrix — elementwise ufuncs are bitwise
+        shape-independent — and writes only those rows: no write
+        reaches a finished row or, in a multi-point tensor, a sibling
+        point's rows, and no tree runs on a foreign marking.  Callers
+        pass the owning engine's *alive* rows, which keeps the
+        negative-rate guard to the rows the compiled engine would
+        evaluate.  NaN rates count as "not > 0" (disabled), like the
+        scalar path.
         """
         sub = M[rows]
         shape = (len(rows), len(self.indices))
@@ -538,7 +484,7 @@ class _BatchCursor(CompiledMarking):
         )
         self._rows: list[list] = []
         self._matrix: Optional[np.ndarray] = None
-        self._mirror = [not place.is_extended for place in compiled.places]
+        self._mirror = compiled.mirrored
         self._row = 0
 
     def bind_batch(self, rows: list[list], matrix: np.ndarray) -> None:
@@ -573,15 +519,17 @@ class _BatchCursor(CompiledMarking):
 
 
 class BatchedJumpEngine:
-    """Lockstep batch executor over a compiled SAN (NumPy SoA kernel).
+    """The lowering base of the lockstep batch engine (see module docstring).
 
-    Semantically a drop-in for :class:`CompiledJumpEngine` — same
-    constructor validation, same ``run``/``simulate`` surface plus
-    :meth:`run_batch` — producing bit-identical results per stream at
-    any batch size.  The throughput win comes from vectorizing the
-    model's *lowerable* gates (all of the paper model's structural
-    gates) across rows; unlowerable activities transparently use the
-    compiled engine's per-row closures.
+    Holds what :class:`~repro.san.stepped.SteppedJumpEngine` builds its
+    batch kernel from: the lowered code groups and their slot → group
+    index, the per-row closures of unlowerable activities, the batch
+    cursor and the stabilisation scan.  Same constructor validation and
+    ``run``/``simulate`` surface as :class:`CompiledJumpEngine` — both
+    go to the per-row compiled delegate — but no batch loop: the
+    subclass defines ``run_batch``.  Constructed directly, it serves
+    lowering reports (``lowering_stats``, ``fallback_reasons``,
+    diagnose mode).
 
     Parameters
     ----------
@@ -596,14 +544,15 @@ class BatchedJumpEngine:
         are preserved (see module docstring).
     batch_size:
         Default lockstep width, used by callers that slice replication
-        stream batches (``run_batch`` itself accepts any length).
+        stream batches (``run_batch`` accepts any length).
     diagnose:
         Compile-for-inspection mode: run the full lowering pass (so
         ``lowering_stats``/``fallback_reasons`` and the lowered trees are
         populated) but skip the per-row delegate and every runtime
-        closure.  A diagnose engine cannot run — ``run``/``simulate``/
-        ``run_batch`` raise — which is what the static analyzer wants:
-        lowering facts without paying for executable kernels.
+        closure.  A diagnose engine cannot run — ``run``/``simulate``
+        (and the subclass's ``run_batch``) raise — which is what the
+        static analyzer wants: lowering facts without paying for
+        executable kernels.
     """
 
     #: engine label reported in runtime telemetry footers
@@ -622,7 +571,7 @@ class BatchedJumpEngine:
         if not san.is_markovian:
             bad = [a.name for a in san.timed_activities if not a.is_markovian]
             raise TypeError(
-                f"BatchedJumpEngine requires exponential activities; "
+                f"{type(self).__name__} requires exponential activities; "
                 f"non-exponential: {bad[:5]}"
             )
         if batch_size < 1:
@@ -701,9 +650,10 @@ class BatchedJumpEngine:
             self.bias.get(activity.name, 1.0) for activity in compiled.timed
         ]
         self._has_bias = any(factor != 1.0 for factor in self._factors)
-        extended = frozenset(
-            slot for slot, place in enumerate(compiled.places)
-            if place.is_extended
+        #: slots of extended places, which no lowered expression may read
+        extended = self._extended = frozenset(
+            slot for slot, mirrored in enumerate(compiled.mirrored)
+            if not mirrored
         )
 
         # group members by shared gate/rate *code*: the composed model
@@ -904,190 +854,6 @@ class BatchedJumpEngine:
         return self._delegate().simulate(*args, **kwargs)
 
     # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        streams: list[RandomStream],
-        horizon: float,
-        stop_predicate: Optional[Callable[[Any], bool]] = None,
-        rate_rewards=None,
-    ) -> list[SimulationRun]:
-        """Advance one replication per stream in lockstep.
-
-        Row ``i`` consumes ``streams[i]`` in exactly the order the
-        compiled engine would, so results are bit-identical per stream
-        regardless of the batch width or the fate of sibling rows.
-        """
-        self._require_runtime()
-        if self.observer is not None:
-            # traced runs take the per-row path: batching would
-            # interleave rows within one trace stream
-            delegate = self._delegate()
-            return [
-                delegate.run(stream, horizon, stop_predicate, rate_rewards)
-                for stream in streams
-            ]
-        n_rows = len(streams)
-        if n_rows == 0:
-            return []
-        compiled = self.compiled
-        cursor = self._cursor
-        n_acts = self._n
-        has_bias = self._has_bias
-        insta_reads = compiled.insta_reads_mask
-
-        rows = [list(compiled.initial_values) for _ in range(n_rows)]
-        matrix = np.zeros((n_rows, compiled.n_slots), dtype=np.int64,
-                          order="F")
-        for slot, mirrored in enumerate(cursor._mirror):
-            if mirrored:
-                matrix[:, slot] = compiled.initial_values[slot]
-        cursor.bind_batch(rows, matrix)
-
-        Ro = np.zeros((n_rows, n_acts), dtype=np.float64)
-        Rb = np.zeros((n_rows, n_acts), dtype=np.float64) if has_bias else Ro
-        alive_mask = np.zeros(n_rows, dtype=bool)
-
-        results: list[Optional[SimulationRun]] = [None] * n_rows
-        now = [0.0] * n_rows
-        weights = [1.0] * n_rows
-        firings = [0] * n_rows
-        integrators = [_RewardIntegrator(rate_rewards) for _ in range(n_rows)]
-        fb_count = len(self._fb_indices)
-        fb_reads = [[0] * fb_count for _ in range(n_rows)]
-        fb_union = [0] * n_rows
-
-        def finalize(row: int, end_time: float, stopped: bool,
-                     stop_time: float) -> None:
-            alive_mask[row] = False
-            cursor.changed_mask = 0
-            results[row] = SimulationRun(
-                end_time=end_time,
-                stopped=stopped,
-                stop_time=stop_time,
-                weight=weights[row],
-                firings=firings[row],
-                final_marking=cursor.export(),
-                reward_integrals=integrators[row].integrals,
-            )
-
-        # --- batch entry: stabilise, time-zero absorption, refresh ----
-        alive: list[int] = []
-        for row in range(n_rows):
-            cursor.set_row(row)
-            cursor.changed_mask = 0
-            self._stabilize(streams[row])
-            cursor.changed_mask = 0
-            if stop_predicate is not None and stop_predicate(cursor):
-                finalize(row, 0.0, True, 0.0)
-            elif horizon <= 0.0:
-                finalize(row, horizon, False, math.inf)
-            else:
-                alive_mask[row] = True
-                alive.append(row)
-        if alive:
-            with np.errstate(all="ignore"):
-                for lowered in self._lowered:
-                    lowered.refresh(matrix, Ro, Rb, alive_mask, has_bias)
-            for row in alive:
-                cursor.set_row(row)
-                self._refresh_fallback_row(row, -1, fb_reads[row], Ro, Rb)
-                fb_union[row] = self._fold_union(fb_reads[row])
-                cursor.changed_mask = 0
-
-        # --- lockstep jump loop ---------------------------------------
-        while alive:
-            full = len(alive) == n_rows
-            Rb_rows = Rb if full else Rb[alive]
-            Cb = np.cumsum(Rb_rows, axis=1)
-            if has_bias:
-                Co = np.cumsum(Ro if full else Ro[alive], axis=1)
-            changed_union = 0
-            survivors: list[int] = []
-            for position, row in enumerate(alive):
-                cursor.set_row(row)
-                stream = streams[row]
-                total_biased = float(Cb[position, -1])
-                total = float(Co[position, -1]) if has_bias else total_biased
-                if total <= 0.0:
-                    # deadlock: the marking persists until the horizon
-                    integrators[row].accumulate(cursor, horizon - now[row])
-                    finalize(row, now[row], False, math.inf)
-                    continue
-                holding = stream.exponential(total_biased)
-                if now[row] + holding > horizon:
-                    weights[row] *= math.exp(
-                        -(total - total_biased) * (horizon - now[row])
-                    )
-                    integrators[row].accumulate(cursor, horizon - now[row])
-                    now[row] = horizon
-                    finalize(row, horizon, False, math.inf)
-                    continue
-
-                # replay choice_index: one uniform, prefix-sum bisection
-                u = stream.random() * total_biased
-                index = int(np.searchsorted(Cb[position], u, side="right"))
-                if index >= n_acts:
-                    index = n_acts - 1
-                    while index > 0 and Rb[row, index] <= 0.0:
-                        index -= 1
-                weights[row] *= (
-                    float(Ro[row, index]) / float(Rb[row, index])
-                ) * math.exp(-(total - total_biased) * holding)
-                integrators[row].accumulate(cursor, holding)
-                now[row] += holding
-
-                chooser = self._choosers[index]
-                case = 0 if chooser is None else chooser(stream)
-                self._firers[index](case)
-                firings[row] += 1
-                self._kernel_events += 1
-                if cursor.changed_mask & insta_reads:
-                    self._stabilize(stream)
-
-                if stop_predicate is not None and stop_predicate(cursor):
-                    finalize(row, now[row], True, now[row])
-                    continue
-                if now[row] >= horizon:
-                    finalize(row, now[row], False, math.inf)
-                    continue
-
-                changed = cursor.clear_changed_mask()
-                if changed:
-                    changed_union |= changed
-                    if changed & fb_union[row]:
-                        reads = fb_reads[row]
-                        if self._refresh_fallback_row(row, changed, reads,
-                                                      Ro, Rb):
-                            fb_union[row] = self._fold_union(reads)
-                survivors.append(row)
-            alive = survivors
-            if changed_union and alive and self._lowered:
-                self._refresh_lowered(changed_union, matrix, Ro, Rb,
-                                      alive_mask, has_bias)
-        cursor.release()
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _refresh_lowered(self, changed_mask: int, matrix, Ro, Rb, alive_mask,
-                         has_bias: bool) -> None:
-        """Recompute the lowered groups whose read slots changed."""
-        lowered_dep = self._lowered_dep
-        affected = 0
-        while changed_mask:
-            low = changed_mask & -changed_mask
-            affected |= lowered_dep[low.bit_length() - 1]
-            changed_mask ^= low
-        if not affected:
-            return
-        lowered = self._lowered
-        with np.errstate(all="ignore"):
-            while affected:
-                low = affected & -affected
-                lowered[low.bit_length() - 1].refresh(
-                    matrix, Ro, Rb, alive_mask, has_bias,
-                )
-                affected ^= low
-
     def _refresh_fallback_row(self, row: int, changed_mask: int,
                               reads: list[int], Ro, Rb) -> bool:
         """Re-evaluate the row's fallback activities (compiled semantics).

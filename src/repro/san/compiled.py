@@ -25,11 +25,8 @@ likelihood-ratio weights.  Two implementation details make this exact:
 1. **Totals.**  The total (biased) exit rate is reduced left-to-right over
    the *full* rate table, with disabled activities contributing ``0.0``.
    Adding ``0.0`` to a non-negative partial sum is a bitwise no-op, so the
-   result equals the interpreted engine's compact-list sum exactly.  With
-   the default ``recompute_interval=1`` this reduction runs every jump (at
-   C speed, via ``sum``); larger intervals switch to delta maintenance of
-   the running totals with a periodic exact re-reduction to bound float
-   drift, trading last-ulp equality for fewer O(n) passes.
+   result equals the interpreted engine's compact-list sum exactly.  The
+   reduction runs every jump, at C speed via ``sum``.
 2. **Selection.**  Activity selection replays the interpreted engine's
    ``choice_index`` draw (one uniform) and resolves it with a C-level
    prefix sum + bisection over the rate table; zero entries cannot be
@@ -75,7 +72,7 @@ __all__ = [
 ]
 
 #: engine names accepted by :func:`make_jump_engine` and the CLI ``--engine``
-ENGINES = ("interpreted", "compiled", "batched", "stepped")
+ENGINES = ("interpreted", "compiled", "stepped")
 
 #: engine of every simulation entry point (measures, tasks, importance
 #: sampling, the orchestrator and the CLI); splitting stays on compiled
@@ -272,6 +269,11 @@ class CompiledModel:
             place.validate_value for place in self.places
         ]
         self.initial_values: list = [place.initial for place in self.places]
+        #: per slot, whether the batch kernels mirror it into their int64
+        #: marking matrix (every place but the extended ones)
+        self.mirrored: list[bool] = [
+            not place.is_extended for place in self.places
+        ]
         self.timed: list[TimedActivity] = list(model.timed_activities)
         self.instantaneous: list[InstantaneousActivity] = (
             model.ordered_instantaneous()
@@ -953,7 +955,7 @@ def trace_fire_programs(
     per-row compiled closures.
     """
     slot_of = compiled.slot_of
-    mirrored = [not place.is_extended for place in compiled.places]
+    mirrored = compiled.mirrored
     input_gates = [
         (gate.function, gate.slot_binding(slot_of))
         for gate in activity.input_gates
@@ -997,13 +999,6 @@ class CompiledJumpEngine:
     bias:
         Optional activity-name → rate-multiplier mapping (importance
         sampling, exactly as in the interpreted engine).
-    recompute_interval:
-        How often (in jumps) the running total rates are recomputed by an
-        exact left-to-right reduction.  ``1`` (default) recomputes every
-        jump, which keeps holding times bit-identical to the interpreted
-        engine; larger values maintain the totals by delta between
-        recomputes — faster on huge models, at the price of last-ulp float
-        drift in the sampled holding times (bounded by the interval).
     observer:
         Optional observability hook (see :mod:`repro.obs`).  Hooks fire
         after every random draw of the step they describe and never
@@ -1018,7 +1013,6 @@ class CompiledJumpEngine:
         self,
         model: Union[SANModel, CompiledModel],
         bias: Optional[Mapping[str, float]] = None,
-        recompute_interval: int = 1,
         observer=None,
     ) -> None:
         compiled = model if isinstance(model, CompiledModel) else None
@@ -1029,13 +1023,8 @@ class CompiledJumpEngine:
                 f"CompiledJumpEngine requires exponential activities; "
                 f"non-exponential: {bad[:5]}"
             )
-        if recompute_interval < 1:
-            raise ValueError(
-                f"recompute_interval must be >= 1, got {recompute_interval}"
-            )
         self.compiled = compiled if compiled is not None else compile_model(san)
         self.model = self.compiled.model
-        self.recompute_interval = int(recompute_interval)
         self.bias: dict[str, float] = dict(bias or {})
         unknown = set(self.bias) - {a.name for a in self.model.timed_activities}
         if unknown:
@@ -1097,11 +1086,9 @@ class CompiledJumpEngine:
                                          insta_choosers)
         ]
         # propensity state: original and biased rate tables (0.0 when the
-        # activity is disabled or at rate 0), running totals, active count
+        # activity is disabled or at rate 0) and the active count
         self._orig = [0.0] * self._n
         self._biased = [0.0] * self._n
-        self._total = 0.0
-        self._total_biased = 0.0
         self._n_active = 0
         # dynamic dependency index: per-activity mask of the slots its last
         # enabling/rate evaluation actually read, and the per-slot reverse
@@ -1119,7 +1106,7 @@ class CompiledJumpEngine:
     # ------------------------------------------------------------------
     def _refresh(self, index: int) -> None:
         """Re-evaluate one activity's enabling and rate; update the tables,
-        the delta-maintained totals, and the dynamic dependency index."""
+        the active count, and the dynamic dependency index."""
         trace = self._trace
         trace[0] = 0
         enabled = self._enabled[index]
@@ -1139,8 +1126,6 @@ class CompiledJumpEngine:
         if new_orig != old_orig or new_biased != self._biased[index]:
             if (new_orig > 0.0) != (old_orig > 0.0):
                 self._n_active += 1 if new_orig > 0.0 else -1
-            self._total += new_orig - old_orig
-            self._total_biased += new_biased - self._biased[index]
             self._orig[index] = new_orig
             self._biased[index] = new_biased
         # fold the traced read set into the reverse index (purity of gate
@@ -1167,14 +1152,9 @@ class CompiledJumpEngine:
         """Full rebuild of the propensity tables (run entry)."""
         self._orig = [0.0] * self._n
         self._biased = [0.0] * self._n
-        self._total = 0.0
-        self._total_biased = 0.0
         self._n_active = 0
         for index in range(self._n):
             self._refresh(index)
-        # run entry is a recompute point: fix the reduction order exactly
-        self._total_biased = sum(self._biased)
-        self._total = sum(self._orig) if self._has_bias else self._total_biased
 
     def _refresh_affected(self, changed_mask: int) -> None:
         """Re-evaluate only the activities whose last evaluation read one
@@ -1321,29 +1301,16 @@ class CompiledJumpEngine:
         orig = self._orig
         biased = self._biased
         has_bias = self._has_bias
-        interval = self.recompute_interval
         insta_reads = self.compiled.insta_reads_mask
         exponential = stream.exponential
         random = stream.random
-        since_recompute = 0
 
         while now < horizon:
-            if interval == 1:
-                # exact per-jump reduction: left-to-right over the full
-                # table, 0.0 entries are bitwise no-ops, so this equals
-                # the interpreted engine's compact sum exactly
-                total_biased = sum(biased)
-                total = sum(orig) if has_bias else total_biased
-            elif since_recompute >= interval or self._total_biased <= 0.0:
-                total_biased = self._total_biased = sum(biased)
-                total = self._total = (
-                    sum(orig) if has_bias else total_biased
-                )
-                since_recompute = 0
-            else:
-                total_biased = self._total_biased
-                total = self._total if has_bias else total_biased
-            since_recompute += 1
+            # exact per-jump reduction: left-to-right over the full table,
+            # 0.0 entries are bitwise no-ops, so this equals the
+            # interpreted engine's compact sum exactly
+            total_biased = sum(biased)
+            total = sum(orig) if has_bias else total_biased
 
             if self._n_active == 0:
                 # deadlock: the marking persists until the horizon
@@ -1433,28 +1400,21 @@ def make_jump_engine(
 
     ``"compiled"`` (default) builds a :class:`CompiledJumpEngine`;
     ``"interpreted"`` the original
-    :class:`~repro.san.simulator.MarkovJumpSimulator`; ``"batched"`` the
-    lockstep NumPy kernel (:class:`~repro.san.batched.BatchedJumpEngine`);
-    ``"stepped"`` the per-batch-step kernel on top of it
+    :class:`~repro.san.simulator.MarkovJumpSimulator`; ``"stepped"`` the
+    lockstep batch-step kernel
     (:class:`~repro.san.stepped.SteppedJumpEngine`, fastest for large
-    replication counts — ``batch_size`` sets the default lockstep width
-    of both).  All four produce bit-identical results for the same seed;
+    replication counts — ``batch_size`` sets its default lockstep
+    width).  All three produce bit-identical results for the same seed;
     fall back to ``interpreted`` when debugging gate code (plain
     dict-backed markings) — see ``docs/engine_perf.md``.  ``observer``
     attaches an observability hook (:mod:`repro.obs`) to any engine (the
-    batch engines then delegate traced runs to their per-row compiled
+    stepped engine then delegates traced runs to its per-row compiled
     path, keeping RNG invariance).
     """
     if engine == "compiled":
         return CompiledJumpEngine(model, bias=bias, observer=observer)
     if engine == "interpreted":
         return MarkovJumpSimulator(model, bias=bias, observer=observer)
-    if engine == "batched":
-        from repro.san.batched import BatchedJumpEngine
-
-        return BatchedJumpEngine(
-            model, bias=bias, observer=observer, batch_size=batch_size
-        )
     if engine == "stepped":
         from repro.san.stepped import SteppedJumpEngine
 

@@ -1,11 +1,12 @@
 """Stepped SAN execution: the select-and-fire loop lowered to array kernels.
 
-The batched engine (:mod:`repro.san.batched`) vectorizes gate and rate
-*evaluation* across a lockstep batch, but still walks the jump loop
-per-event in Python: every firing pays a cursor row-switch, a scalar
-``searchsorted``, per-write closure calls with per-write validation, and
-an instantaneous-activity scan.  This module lowers the loop itself so
-the Python-level iteration is **per batch step** rather than per event:
+The lowering pass (:mod:`repro.san.batched`) vectorizes gate and rate
+*evaluation* across a lockstep batch.  A jump loop that walked that
+batch per event in Python would still pay, for every firing, a cursor
+row-switch, a scalar ``searchsorted``, per-write closure calls with
+per-write validation, and an instantaneous-activity scan.  This module
+lowers the loop itself so the Python-level iteration is **per batch
+step** rather than per event:
 
 * holding times and selection uniforms are drawn per replication stream
   (bit-identity pins each row to its own
@@ -29,12 +30,14 @@ the Python-level iteration is **per batch step** rather than per event:
   work for the common movement firings collapses to the two stream
   draws;
 * masked time-advance: absorbed, deadlocked and horizon-crossed rows
-  drop out of the step loop exactly as in the batched engine.
+  drop out of the step loop while the rest of the batch keeps running.
 
-Equivalence contract: identical to the batched engine's — per stream,
-runs are **bit-identical** to the compiled engine (draw order, IS
-weights, stop times, final markings) at any batch size.  Every lowering
-above is an exact replay: delta programs reproduce the compiled write
+Equivalence contract: per stream, runs are **bit-identical** to the
+compiled engine (draw order, IS weights, stop times, final markings) at
+any batch size.  Each row draws from its own stream in exactly the
+compiled engine's order, and totals are reduced with ``np.cumsum``
+(strictly sequential, bitwise equal to the compiled engine's
+left-to-right sum).  Every lowering above is an exact replay: delta programs reproduce the compiled write
 (and negative-marking error) semantics or fall back per row; a write
 memo replays only what a real, validated firing from the same role
 values wrote, with the compiled engine's changed mask; the
@@ -43,9 +46,9 @@ instantaneous skip only elides scans that would provably fire nothing
 the same integer comparisons over the matrix.  The one intentional
 divergence is error *ordering* inside a single step when several rows
 raise simultaneously (rows are processed grouped by code group rather
-than by row index), and, as in the batched engine, re-evaluation timing of
-model-bug errors (negative rates) may differ because changed-slot masks
-are supersets of the compiled engine's.
+than by row index), and re-evaluation timing of model-bug errors
+(negative rates) may differ because changed-slot masks are supersets of
+the compiled engine's.
 
 Observed runs and runs with rate rewards go to the per-row compiled
 delegate, preserving trace ordering, ``wants_deltas`` delta reporting
@@ -783,10 +786,11 @@ class _FireGroup:
 class SteppedJumpEngine(BatchedJumpEngine):
     """Per-batch-step lockstep executor (see module docstring).
 
-    Accepts exactly the :class:`BatchedJumpEngine` constructor surface
-    and produces bit-identical results; the difference is purely
-    throughput on models whose firings lower to delta programs (all of
-    the built-in AHS models' movement activities do).
+    Accepts exactly the :class:`BatchedJumpEngine` constructor surface,
+    builds on its lowering pass and adds the batch loop: bit-identical
+    per stream to the compiled engine, faster on models whose firings
+    lower to delta programs (all of the built-in AHS models' movement
+    activities do).
     """
 
     #: engine label reported in runtime telemetry footers
@@ -809,10 +813,7 @@ class SteppedJumpEngine(BatchedJumpEngine):
         self._fire_groups, self._fire_group_of, self._fire_pos = (
             self._bind_fire_groups()
         )
-        extended = frozenset(
-            slot for slot, place in enumerate(compiled.places)
-            if place.is_extended
-        )
+        extended = self._extended
         #: per gate-code group of instantaneous activities, its enabling
         #: table (None when the gates did not lower)
         self._insta_tables = self._lower_insta(extended)
@@ -940,7 +941,8 @@ class SteppedJumpEngine(BatchedJumpEngine):
         timed activities, retrying a group that fails collectively
         member by member.  ``None`` when any activity resists lowering
         (or is gateless, i.e. unconditionally enabled): the conservative
-        changed-mask trigger then scans exactly like the batched engine.
+        changed-mask trigger (``insta_reads_mask``) then decides when a
+        row scans, as in the compiled engine.
         """
         slot_of = self.compiled.slot_of
         self._insta_read_slots: frozenset = frozenset()
@@ -1017,12 +1019,7 @@ class SteppedJumpEngine(BatchedJumpEngine):
         entry = self._stop_cache.get(key)
         if entry is not None and entry[0] is stop_predicate:
             return entry[1]
-        compiled = self.compiled
-        extended = frozenset(
-            slot for slot, place in enumerate(compiled.places)
-            if place.is_extended
-        )
-        probe = _StopProbe(compiled.slot_of, extended)
+        probe = _StopProbe(self.compiled.slot_of, self._extended)
         try:
             paths = _enumerate_paths(stop_predicate, probe)
             expr, _const = _tree_expr(_build_tree(paths, 0))

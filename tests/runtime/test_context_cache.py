@@ -48,14 +48,14 @@ class TestBuildCached:
 
     def test_distinct_tasks_get_distinct_contexts(self):
         ctx_a = make_task().build_cached()
-        ctx_b = make_task(engine="batched").build_cached()
+        ctx_b = make_task(engine="stepped").build_cached()
         assert ctx_b.simulator is not ctx_a.simulator
 
     def test_batch_size_shares_the_context(self):
-        # batched results are bit-identical at every width, so the token
+        # stepped results are bit-identical at every width, so the token
         # (and therefore the worker context) is shared across widths
-        ctx_a = make_task(engine="batched", batch_size=64).build_cached()
-        ctx_b = make_task(engine="batched", batch_size=256).build_cached()
+        ctx_a = make_task(engine="stepped", batch_size=64).build_cached()
+        ctx_b = make_task(engine="stepped", batch_size=256).build_cached()
         assert ctx_b.simulator is ctx_a.simulator
 
     def test_metrics_tasks_bypass_the_memo(self):
@@ -81,7 +81,7 @@ class TestBuildCached:
 
 class TestSampleBatch:
     def test_batch_rows_match_serial_samples(self):
-        task = make_task(engine="batched", batch_size=4)
+        task = make_task(engine="stepped", batch_size=4)
         context = task.build()
         assert task.supports_batch(context)
         streams_a = StreamFactory(3).stream_batch("mc", 10)
@@ -124,7 +124,7 @@ class TestProfilerAccounting:
         profiler = PhaseProfiler()
         runner = ParallelRunner(workers=2, chunk_size=50, profiler=profiler)
         try:
-            result = runner.run(make_task(engine="batched"), seed=11, rule=rule)
+            result = runner.run(make_task(engine="stepped"), seed=11, rule=rule)
         finally:
             runner.close()
         assert result.n_replications >= 300  # several rounds actually ran

@@ -45,7 +45,6 @@ from tests.san.test_compiled_equivalence import assert_runs_identical
 ENGINES = {
     "interpreted": MarkovJumpSimulator,
     "compiled": CompiledJumpEngine,
-    "batched": lambda model: BatchedJumpEngine(model, batch_size=4),
     "stepped": lambda model: SteppedJumpEngine(model, batch_size=4),
 }
 
@@ -234,7 +233,7 @@ def test_extended_place_probability_stays_uncached():
     # uncached: one evaluation per ``pick`` firing, like the reference,
     # although only two tag values ever occur
     uncached = evaluations(make_extended_model, "interpreted", 9, 5.0)
-    for name in ("compiled", "batched", "stepped"):
+    for name in ("compiled", "stepped"):
         assert evaluations(make_extended_model, name, 9, 5.0) == uncached
     assert uncached > 2
 

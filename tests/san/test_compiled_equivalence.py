@@ -316,19 +316,6 @@ def test_compiled_marking_roundtrip():
     assert cm.get(up) == 1
 
 
-def test_recompute_interval_approximates_exact():
-    """Delta-maintained totals may drift by ulps but the trajectory must
-    stay statistically indistinguishable: weights within tiny relative
-    tolerance and identical draw counts for this (stable) model."""
-    model, up, down = make_two_state_model()
-    exact = CompiledJumpEngine(model, recompute_interval=1)
-    lazy = CompiledJumpEngine(model, recompute_interval=64)
-    run_a = exact.run(StreamFactory(3).stream("eq"), 25.0)
-    run_b = lazy.run(StreamFactory(3).stream("eq"), 25.0)
-    assert run_b.firings == run_a.firings
-    assert run_b.end_time == pytest.approx(run_a.end_time, rel=1e-12)
-
-
 def test_fired_events_counter():
     model, _up, _down = make_two_state_model()
     engine = CompiledJumpEngine(model)
@@ -357,8 +344,6 @@ def test_error_message_parity():
         CompiledJumpEngine(model, bias={"nope": 2.0})
     with pytest.raises(ValueError, match="must be finite and > 0"):
         CompiledJumpEngine(model, bias={"fail": -1.0})
-    with pytest.raises(ValueError, match="recompute_interval"):
-        CompiledJumpEngine(model, recompute_interval=0)
     from repro.stochastic.distributions import Deterministic
 
     semi_markov = SANModel("semi")

@@ -12,7 +12,7 @@ import inspect
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.core.measures import unsafety
 from repro.core.partasks import (
     ImportanceSimulationTask,
@@ -21,7 +21,12 @@ from repro.core.partasks import (
 )
 from repro.orchestrate import Orchestrator
 from repro.rare import FixedEffortSplitting, ImportanceSamplingEstimator
-from repro.san import CompiledJumpEngine, DEFAULT_ENGINE, ENGINES
+from repro.san import (
+    CompiledJumpEngine,
+    DEFAULT_ENGINE,
+    ENGINES,
+    make_jump_engine,
+)
 
 from tests.conftest import make_two_state_model
 
@@ -69,10 +74,25 @@ def test_splitting_stays_on_compiled():
     )
 
 
-@pytest.mark.parametrize("engine", ["batched", "stepped"])
+@pytest.mark.parametrize("engine", ["stepped"])
 def test_splitting_builds_compiled_for_batch_engines(engine):
     model, _up, down = make_two_state_model()
     splitter = FixedEffortSplitting(
         model, lambda m: float(m.get(down)), [1.0], engine=engine
     )
     assert type(splitter.simulator) is CompiledJumpEngine
+
+
+def test_batched_is_no_engine_choice(capsys):
+    """Only the stepped engine runs lockstep batches: ``"batched"`` is
+    neither an engine name nor a CLI ``--engine`` choice."""
+    assert ENGINES == ("interpreted", "compiled", "stepped")
+    model, _up, _down = make_two_state_model()
+    with pytest.raises(ValueError, match="unknown engine 'batched'") as raised:
+        make_jump_engine(model, engine="batched")
+    for name in ENGINES:
+        assert repr(name) in str(raised.value)
+    with pytest.raises(SystemExit) as exited:
+        main(["unsafety", "--engine", "batched"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'batched'" in capsys.readouterr().err

@@ -37,6 +37,9 @@ class TestDiagnoseMode:
         with pytest.raises(RuntimeError, match="diagnose=True"):
             diagnose_engine.run(stream, 1.0)
 
+    @pytest.mark.parametrize(
+        "diagnose_engine", [SteppedJumpEngine], indirect=True
+    )
     def test_run_batch_refuses(self, diagnose_engine):
         stream = StreamFactory(7).stream("x")
         with pytest.raises(RuntimeError, match="diagnose=True"):

@@ -1,6 +1,6 @@
 """The batch engines' lean paths: lazy delegate and deferred markings.
 
-``BatchedJumpEngine`` builds its per-row compiled delegate only when a
+The batch engine builds its per-row compiled delegate only when a
 single replication, an observed run or a ``simulate`` segment needs it,
 and the stepped kernels (``SteppedJumpEngine.run_batch``,
 ``MultiPointContext.run``) hand back final markings whose dict is built
@@ -17,7 +17,6 @@ from repro.core.composed import build_composed_model
 from repro.core.parameters import AHSParameters
 from repro.rare import FailureBiasing
 from repro.san import (
-    BatchedJumpEngine,
     CompiledJumpEngine,
     Marking,
     MultiPointContext,
@@ -44,7 +43,7 @@ def _streams(n: int, name: str = "lean"):
     return StreamFactory(2024).stream_batch(name, n)
 
 
-@pytest.mark.parametrize("engine_cls", [BatchedJumpEngine, SteppedJumpEngine])
+@pytest.mark.parametrize("engine_cls", [SteppedJumpEngine])
 def test_run_batch_only_never_builds_the_delegate(ahs, engine_cls):
     engine = engine_cls(ahs.model)
     runs = engine.run_batch(_streams(16), HORIZON, ahs.unsafe_predicate())
@@ -60,7 +59,7 @@ def test_tensor_run_never_builds_the_delegate(ahs):
     assert engine._delegate_engine is None
 
 
-@pytest.mark.parametrize("engine_cls", [BatchedJumpEngine, SteppedJumpEngine])
+@pytest.mark.parametrize("engine_cls", [SteppedJumpEngine])
 @pytest.mark.parametrize("biased", [False, True])
 def test_run_equals_a_batch_of_one(ahs, engine_cls, biased):
     bias = (

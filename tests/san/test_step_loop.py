@@ -7,8 +7,7 @@ cap takes the row-restricted tree refresh
 (``_LoweredGroup.refresh_rows``) in per-point and tensor runs alike.
 The built-in AHS models tabulate every group, so a seeded model with a
 wide gate pins that escape here, run for run against the compiled
-engine.  Runs with rate rewards leave the loop for the per-row compiled
-delegate, never the batched engine's per-event loop.
+engine.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.san import (
-    BatchedJumpEngine,
     Case,
     CompiledJumpEngine,
     InputGate,
@@ -32,7 +30,6 @@ from repro.san import (
 from repro.san.batched import _LoweredGroup
 from repro.stochastic import StreamFactory
 
-from tests.san import test_stepped_equivalence as stepped_equivalence
 from tests.san.test_compiled_equivalence import assert_runs_identical
 
 HORIZON = 30.0
@@ -99,7 +96,7 @@ def compiled_runs(model, seed, name, n_streams, stop):
 
 @pytest.fixture
 def row_refreshes(monkeypatch):
-    """Counts row-restricted tree refreshes; a full-matrix one raises."""
+    """Counts row-restricted tree refreshes and their row counts."""
     calls: list = []
     restricted = _LoweredGroup.refresh_rows
 
@@ -107,11 +104,7 @@ def row_refreshes(monkeypatch):
         calls.append(len(args[1]))
         return restricted(self, *args, **kwargs)
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the step loop refreshed the whole matrix")
-
     monkeypatch.setattr(_LoweredGroup, "refresh_rows", counted)
-    monkeypatch.setattr(_LoweredGroup, "refresh", refuse)
     return calls
 
 
@@ -162,11 +155,3 @@ def test_untabulated_group_in_a_two_job_tensor_identical(row_refreshes):
         assert [stream.draw_count for stream in streams] == draws
     assert row_refreshes and max(row_refreshes) <= 12
     assert fired > 1000
-
-
-def test_rate_rewards_skip_the_batched_loop(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("rate rewards reached the per-event loop")
-
-    monkeypatch.setattr(BatchedJumpEngine, "run_batch", refuse)
-    stepped_equivalence.test_rate_rewards_identical()

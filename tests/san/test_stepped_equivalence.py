@@ -7,7 +7,7 @@ refresh — but promises *exactly* the per-stream results of
 :class:`~repro.san.compiled.CompiledJumpEngine`: same draw order, same
 selections, same importance-sampling likelihood-ratio weights, at any
 batch size.  This suite enforces the contract on the same model zoo as
-``test_batched_equivalence.py``, plus the stepped-specific machinery:
+``test_compiled_equivalence.py``, plus the stepped-specific machinery:
 table bound growth, negative-rate parity, per-row fallback rows inside
 a stepped batch, and the zero-fallback guarantee on every built-in AHS
 strategy (the issue's VEC001–VEC003 criterion).
@@ -24,7 +24,7 @@ from repro.core.composed import build_composed_model, build_one_vehicle_model
 from repro.core.configuration_model import SharedPlaces
 from repro.core.coordination import Strategy
 from repro.core.parameters import AHSParameters
-from repro.rare import FailureBiasing
+from repro.rare import FailureBiasing, ImportanceSamplingEstimator
 from repro.san import (
     BatchedJumpEngine,
     Case,
@@ -38,7 +38,7 @@ from repro.san import (
     output_arc,
 )
 from repro.san.marking import MarkingFunction
-from repro.san.rewards import RateReward
+from repro.san.rewards import RateReward, TransientEstimate
 from repro.stochastic import StreamFactory
 
 from tests.conftest import make_two_state_model
@@ -213,6 +213,71 @@ def test_composed_biased_weights_identical_any_width():
         assert all(r.weight != 1.0 for r in runs_a)
 
 
+def test_importance_estimator_stepped_agrees():
+    ahs = build_composed_model(AHSParameters(max_platoon_size=2))
+    biasing = FailureBiasing(
+        boost=50.0, name_predicate=lambda name: name.startswith("L_FM")
+    )
+    estimates = {}
+    for engine, width in (("compiled", 256), ("stepped", 16), ("stepped", 256)):
+        estimator = ImportanceSamplingEstimator(
+            ahs.model,
+            ahs.unsafe_predicate(),
+            biasing,
+            engine=engine,
+            batch_size=width,
+        )
+        estimates[(engine, width)] = estimator.estimate(
+            [5.0, 10.0], 40, StreamFactory(99)
+        )
+    reference = estimates[("compiled", 256)]
+    for width in (16, 256):
+        candidate = estimates[("stepped", width)]
+        # bit-identical, which trivially satisfies the pooled-CI criterion
+        assert list(candidate.values) == list(reference.values)
+        assert list(candidate.half_widths) == list(reference.half_widths)
+
+
+def test_stepped_estimates_within_pooled_confidence_intervals():
+    """The acceptance-style statistical check: estimates from B=16 and
+    B=256 sweeps agree with the compiled engine within pooled 99% CIs
+    (they are in fact bit-identical, so the margin is zero)."""
+    ahs = build_composed_model(
+        AHSParameters(max_platoon_size=2, base_failure_rate=5e-3)
+    )
+    predicate = ahs.unsafe_predicate()
+    times = [5.0, 10.0]
+
+    def estimate(engine_name, width):
+        engine = make_jump_engine(
+            ahs.model, engine=engine_name, batch_size=width
+        )
+        streams = StreamFactory(31).stream_batch("ci", 256)
+        run_batch = getattr(engine, "run_batch", None)
+        if callable(run_batch):
+            runs = []
+            for start in range(0, len(streams), width):
+                runs.extend(run_batch(streams[start:start + width], 10.0, predicate))
+        else:
+            runs = [engine.run(s, 10.0, predicate) for s in streams]
+        return TransientEstimate.from_indicator_runs(
+            times, runs, confidence=0.99
+        )
+
+    reference = estimate("compiled", 256)
+    for width in (16, 256):
+        candidate = estimate("stepped", width)
+        for ref_v, ref_h, cand_v, cand_h in zip(
+            reference.values,
+            reference.half_widths,
+            candidate.values,
+            candidate.half_widths,
+        ):
+            pooled = math.hypot(ref_h, cand_h)
+            assert abs(cand_v - ref_v) <= max(pooled, 1e-15)
+            assert cand_v == ref_v  # and in fact exactly equal
+
+
 def test_rate_rewards_identical():
     model, up, down = make_two_state_model()
     reward = RateReward(
@@ -349,6 +414,22 @@ def test_ahs_models_fully_lowered(strategy, n):
     assert stats["groups_tabulated"] == len(engine._tables)
 
 
+def test_lowering_covers_paper_model_gates():
+    """The compile pass must lower *every* timed activity of the AHS model
+    to column ops — including the per-vehicle maneuver activities, whose
+    occupancy helpers are kept float()-free precisely so they trace."""
+    ahs = build_composed_model(AHSParameters(max_platoon_size=3))
+    engine = SteppedJumpEngine(ahs.model)
+    stats = engine.lowering_stats()
+    assert stats["timed_activities"] == stats["lowered"] + stats["fallback"]
+    assert stats["fallback"] == 0
+    assert engine.fallback_reasons == {}
+
+    # a purely structural model lowers completely
+    model, _up, _down = make_two_state_model()
+    assert SteppedJumpEngine(model).lowering_stats()["fallback"] == 0
+
+
 # ----------------------------------------------------------------------
 # engine mechanics
 # ----------------------------------------------------------------------
@@ -367,3 +448,27 @@ def test_fired_events_counter_stepped():
     assert engine.fired_events == 0
     runs = engine.run_batch(StreamFactory(1).stream_batch("ev", 4), 10.0)
     assert engine.fired_events == sum(r.firings for r in runs)
+
+
+def test_constructor_validation():
+    model, _up, _down = make_two_state_model()
+    with pytest.raises(ValueError, match="batch_size"):
+        SteppedJumpEngine(model, batch_size=0)
+    with pytest.raises(ValueError, match="bias refers to unknown activities"):
+        SteppedJumpEngine(model, bias={"nope": 2.0})
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        SteppedJumpEngine(model, bias={"fail": -1.0})
+    from repro.stochastic.distributions import Deterministic
+
+    semi_markov = SANModel("semi")
+    place = Place("p", 1)
+    semi_markov.add_activity(
+        TimedActivity(
+            "det",
+            distribution=Deterministic(1.0),
+            input_gates=[input_arc(place)],
+            cases=[Case(1.0, [output_arc(place)])],
+        )
+    )
+    with pytest.raises(TypeError, match="requires exponential activities"):
+        SteppedJumpEngine(semi_markov)
