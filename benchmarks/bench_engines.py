@@ -189,10 +189,12 @@ def compare_engines(
     for n in sizes:
         model = build_composed_model(AHSParameters(max_platoon_size=n)).model
         interpreted = _time_engine(model, "interpreted", replications, horizon)
-        compiled = _time_engine(model, "compiled", replications, horizon)
-        # the stepped engine is cheap enough for best-of-3 timing, which
-        # keeps the stepped-vs-compiled gate out of scheduler noise; the
-        # scalar engines dominate wall time and get a single pass
+        # both sides of the stepped-vs-compiled gate are best of 3, so
+        # neither side's single pass carries scheduler noise into it; the
+        # interpreted reference dominates wall time and gets one pass
+        compiled = _time_engine(
+            model, "compiled", replications, horizon, repeats=3
+        )
         stepped = [
             _time_engine(
                 model, "stepped", replications, horizon, width, repeats=3

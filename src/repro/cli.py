@@ -106,7 +106,7 @@ def _build_cache(args):
 
 
 def _build_runner(args):
-    """A ParallelRunner from CLI flags, or None for the serial path."""
+    """A ParallelRunner from CLI flags, or None without ``--workers``."""
     workers = getattr(args, "workers", None)
     if workers is None:
         return None
@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write a JSONL trajectory trace (simulation methods; forces "
-        "serial execution — traces cannot cross process boundaries)",
+        "serial execution: the run takes one in-process worker and "
+        "--workers is ignored, as traces cannot cross process boundaries)",
     )
     uns.add_argument(
         "--trace-capacity",
@@ -702,9 +703,9 @@ def _cmd_unsafety(args) -> int:
     )
     times = [float(t) for t in args.times.split(",")]
     runner = _build_runner(args)
-    if runner is not None and args.method != "simulation":
+    if runner is not None and args.method not in _SIMULATION_METHODS:
         print(
-            f"[note: --workers applies to method=simulation; "
+            f"[note: --workers applies to the simulation methods; "
             f"{args.method} runs serially]"
         )
         runner = None

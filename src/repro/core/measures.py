@@ -17,24 +17,16 @@ approx     closed-form first-order ST1 estimate
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.analytical import AnalyticalEngine
 from repro.core.approximation import OverlapApproximation
-from repro.core.composed import build_composed_model
 from repro.core.parameters import AHSParameters
-from repro.rare import (
-    FailureBiasing,
-    FixedEffortSplitting,
-    ImportanceSamplingEstimator,
-)
-from repro.san.compiled import DEFAULT_ENGINE, ENGINES, make_jump_engine
+from repro.san.compiled import DEFAULT_ENGINE, ENGINES
 from repro.san.rewards import TransientEstimate
-from repro.stats import ReplicationEstimator, SequentialStoppingRule
-from repro.stochastic import StreamFactory
+from repro.stats import SequentialStoppingRule
 
 __all__ = [
     "unsafety",
@@ -87,26 +79,28 @@ def unsafety(
     trials_per_stage / repetitions:
         Effort knobs for ``splitting``.
     stopping_rule:
-        For ``simulation``: run replications sequentially until the
-        paper's convergence criterion holds (95 % CI within 0.1 relative
-        width by default) instead of a fixed ``n_replications``.
+        For ``simulation``: add rounds of replications until the paper's
+        convergence criterion holds (95 % CI within 0.1 relative width
+        by default) instead of a fixed ``n_replications``; the criterion
+        is checked at multiples of the runner's ``chunk_size``.
     runner:
-        Optional :class:`repro.runtime.ParallelRunner`.  For
-        ``simulation`` the replications are then sharded across worker
-        processes (and served from the runner's result cache when
-        enabled); for a fixed seed the estimate is bit-identical for any
-        worker count.  Other methods ignore it.
+        Optional :class:`repro.runtime.ParallelRunner`.  All three
+        simulation methods run through a runner: the caller's, which
+        shards the replications across its worker processes (and serves
+        them from its result cache when enabled), or else one built here
+        (one in-process worker, no cache, closed before returning).  For
+        a fixed seed the estimate is bit-identical for any worker count.
     engine:
         Jump-engine for the simulation-based methods, one of
         :data:`~repro.san.compiled.ENGINES`.  All give the same results
         per seed.  The default, :data:`~repro.san.compiled.
         DEFAULT_ENGINE` (``"stepped"``), advances a lockstep batch of
-        replications with a whole-loop NumPy kernel and runs single
-        replications (the sequential-stopping path) on its per-row
-        compiled delegate; ``"compiled"`` runs one replication at a
-        time; ``"interpreted"`` is the reference executor, useful when
-        debugging gate code.  Splitting always runs on the compiled
-        engine.  ``analytical`` and ``approx`` ignore it.
+        replications with a whole-loop NumPy kernel (observed runs go
+        to its per-row compiled delegate); ``"compiled"`` runs one
+        replication at a time; ``"interpreted"`` is the reference
+        executor, useful when debugging gate code.  Splitting always
+        runs on the compiled engine.  ``analytical`` and ``approx``
+        ignore it.
     batch_size:
         Lockstep width for the ``"stepped"`` engine (ignored by the
         others).  Purely a throughput knob — estimates,
@@ -114,27 +108,34 @@ def unsafety(
     observer:
         Optional observability hook (typically
         :class:`repro.obs.Observation`) for the simulation-based methods.
-        Serial runs attach it to the engine directly (traces, metrics and
-        profiling all work); with a ``runner`` the metric summaries are
-        collected worker-side, merged in chunk order, and absorbed back
-        into ``observer.metrics`` — trace recorders cannot cross process
-        boundaries and are ignored on the parallel path.  Instrumentation
-        never changes estimates, draw counts, or IS weights.
+        Without a ``runner`` it rides on the task into the in-process
+        runner and is attached to the engine directly (traces, metrics
+        and profiling all work; the profiler times the runner's
+        ``compile``/``simulate``/``merge`` phases).  With a ``runner``
+        the metric summaries are collected per chunk, merged in chunk
+        order and absorbed back into ``observer.metrics``, the profiler
+        is whatever the runner carries, and trace recorders are ignored
+        — they cannot cross process boundaries.  Instrumentation never
+        changes estimates, draw counts, or IS weights.
     events:
-        Optional :class:`repro.obs.EventBus`; the simulation-based
-        methods announce run lifecycle and (for crude Monte-Carlo)
-        per-batch progress as ``repro-events/1`` envelopes.  With a
-        ``runner`` the bus is lent to it for the run so chunk-level
-        events flow into the same ledger.  Emission is driver-side
-        bookkeeping only — estimates are byte-identical with the bus
-        attached or not.
+        Optional :class:`repro.obs.EventBus`; the runner announces run
+        lifecycle and per-chunk progress on it as ``repro-events/1``
+        envelopes.  A caller's ``runner`` borrows the bus for the run so
+        chunk-level events flow into the same ledger.  Emission is
+        driver-side bookkeeping only — estimates are byte-identical with
+        the bus attached or not.
 
     Returns
     -------
     TransientEstimate
         Point estimates with half-widths (zero half-widths and a
         truncation-error bound for ``analytical``; ``approx`` carries no
-        error information).
+        error information).  Simulation half-widths are Student-t
+        intervals over replications.  ``method`` names the estimator:
+        ``analytical``, ``approx``, ``simulation`` (fixed budget),
+        ``simulation-sequential`` (``stopping_rule``),
+        ``importance-sampling`` or ``splitting``, with ``-unconverged``
+        appended when a stopping rule ran out of budget.
     """
     times_list = [float(t) for t in times]
     if not times_list:
@@ -165,239 +166,104 @@ def unsafety(
             method="approx",
         )
 
-    metrics_recorder = getattr(observer, "metrics", None)
-    profiler = getattr(observer, "profiler", None)
+    if method not in UNSAFETY_METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; choose one of {UNSAFETY_METHODS}"
+        )
+    from repro.core.partasks import (
+        ImportanceSimulationTask,
+        SplittingReplicationTask,
+        UnsafetySimulationTask,
+    )
+    from repro.runtime import ParallelRunner
 
-    if method == "simulation" and runner is not None:
-        from repro.core.partasks import UnsafetySimulationTask
-
+    own_runner = runner is None
+    recorder = getattr(observer, "metrics", None)
+    if own_runner:
+        # one in-process worker: the observer rides on the task and is
+        # attached to the engine, so traces and metrics land in it directly
+        wiring = {"observer": observer}
+    else:
+        # the caller's runner may ship chunks to workers: collect
+        # per-chunk metric summaries there and absorb the pooled one
+        wiring = {
+            "metrics": recorder is not None,
+            "metrics_level": "full" if recorder is None else recorder.level,
+        }
+    times_tuple = tuple(times_list)
+    budget = {"n_replications": n_replications, "rule": None}
+    if method == "splitting":
+        if repetitions < 2:
+            raise ValueError("need at least 2 repetitions for a CI")
+        task = SplittingReplicationTask(
+            params=params,
+            times=times_tuple,
+            levels=(
+                SplittingReplicationTask.levels
+                if splitting_levels is None
+                else tuple(float(level) for level in splitting_levels)
+            ),
+            trials_per_stage=trials_per_stage,
+            engine=engine,
+            **wiring,
+        )
+        budget["n_replications"] = repetitions
+        label = "splitting"
+    elif method == "importance":
+        task = ImportanceSimulationTask(
+            params=params,
+            times=times_tuple,
+            engine=engine,
+            batch_size=batch_size,
+            boost=boost,
+            **wiring,
+        )
+        label = "importance-sampling"
+    else:
         task = UnsafetySimulationTask(
             params=params,
-            times=tuple(times_list),
+            times=times_tuple,
             engine=engine,
-            metrics=metrics_recorder is not None,
-            metrics_level=(
-                metrics_recorder.level if metrics_recorder is not None else "full"
-            ),
             batch_size=batch_size,
+            **wiring,
         )
-        # lend the bus to the runner for this run so its chunk events
-        # land in the caller's ledger
-        lent_bus = events is not None and runner.events is None
-        if lent_bus:
-            runner.events = events
-        try:
-            result = runner.run(
-                task,
-                seed=seed,
-                n_replications=(
-                    None if stopping_rule is not None else n_replications
-                ),
-                rule=stopping_rule,
-            )
-        finally:
-            if lent_bus:
-                runner.events = None
-        if (
-            metrics_recorder is not None
-            and result.telemetry.activity_metrics is not None
-        ):
-            metrics_recorder.absorb(result.telemetry.activity_metrics)
-        method_name = "simulation-parallel"
-        if stopping_rule is not None and not result.converged:
-            method_name += "-unconverged"
-        return TransientEstimate(
-            times=np.asarray(times_list),
-            values=result.values,
-            half_widths=result.half_widths,
-            n_samples=result.n_replications,
-            method=method_name,
-        )
-
-    from repro.obs.profile import profile_span
-
-    def emit(event) -> None:
-        if events is not None:
-            events.emit(event)
-
-    if events is not None:
-        from repro.obs.events import ChunkCompleted, RunFinished, RunStarted
-
-    factory = StreamFactory(seed)
-    with profile_span(profiler, "compile"):
-        ahs = build_composed_model(params)
-    horizon = max(times_list)
-
-    if method == "simulation":
-        with profile_span(profiler, "compile"):
-            simulator = make_jump_engine(
-                ahs.model, engine=engine, observer=observer,
-                batch_size=batch_size,
-            )
-        predicate = ahs.unsafe_predicate()
+        label = "simulation"
         if stopping_rule is not None:
-            # the paper's protocol: add batches until each (non-zero)
-            # coordinate's CI is within the relative-width target
-            times_arr = np.asarray(times_list)
+            budget = {"n_replications": None, "rule": stopping_rule}
+            label = "simulation-sequential"
 
-            def sample(index: int) -> np.ndarray:
-                run = simulator.run(
-                    factory.stream(f"mc-{index}"), horizon, predicate
-                )
-                return np.where(times_arr >= run.stop_time, run.weight, 0.0)
-
-            estimator = ReplicationEstimator(
-                sample, rule=stopping_rule, round_size=stopping_rule.min_replications
-            )
-            emit_started = events is not None
-            if emit_started:
-                emit(
-                    RunStarted(
-                        kind="serial",
-                        workers=1,
-                        unit="replications",
-                        engine=engine,
-                        max_total=stopping_rule.max_replications,
-                    )
-                )
-            with profile_span(profiler, "simulate"):
-                means, halves, n_done, converged = estimator.estimate()
-            if emit_started:
-                emit(
-                    RunFinished(
-                        outcome="ok", units=n_done, converged=converged
-                    )
-                )
-            return TransientEstimate(
-                times=times_arr,
-                values=means,
-                half_widths=halves,
-                n_samples=n_done,
-                method="simulation-sequential"
-                + ("" if converged else "-unconverged"),
-            )
-        if events is not None:
-            emit(
-                RunStarted(
-                    kind="serial",
-                    workers=1,
-                    unit="replications",
-                    engine=engine,
-                    total=n_replications,
-                )
-            )
-        with profile_span(profiler, "simulate"):
-            streams = factory.stream_batch("mc", n_replications)
-            run_batch = getattr(simulator, "run_batch", None)
-            # sliced either way so per-batch progress can be announced;
-            # slicing changes neither stream assignment nor run order, so
-            # estimates are identical to the unsliced loop
-            runs = []
-            for chunk_index, start in enumerate(
-                range(0, len(streams), batch_size)
-            ):
-                window = streams[start:start + batch_size]
-                batch_started = time.perf_counter()
-                if callable(run_batch):
-                    runs.extend(run_batch(window, horizon, predicate))
-                else:
-                    runs.extend(
-                        simulator.run(stream, horizon, predicate)
-                        for stream in window
-                    )
-                if events is not None:
-                    emit(
-                        ChunkCompleted(
-                            chunk_id=f"chunk-{chunk_index}",
-                            n=len(window),
-                            worker="serial",
-                            elapsed_seconds=(
-                                time.perf_counter() - batch_started
-                            ),
-                        )
-                    )
-        if events is not None:
-            emit(RunFinished(outcome="ok", units=n_replications))
-        return TransientEstimate.from_indicator_runs(
-            times_list, runs, method="simulation"
+    if own_runner:
+        runner = ParallelRunner(
+            workers=1,
+            events=events,
+            profiler=getattr(observer, "profiler", None),
         )
-
-    if method == "importance":
-        biasing = FailureBiasing(
-            boost=boost, name_predicate=lambda name: name.startswith("L_FM")
-        )
-        with profile_span(profiler, "compile"):
-            estimator = ImportanceSamplingEstimator(
-                ahs.model,
-                ahs.unsafe_predicate(),
-                biasing,
-                engine=engine,
-                observer=observer,
-                batch_size=batch_size,
-            )
-        if events is not None:
-            emit(
-                RunStarted(
-                    kind="serial",
-                    workers=1,
-                    unit="replications",
-                    engine=engine,
-                    total=n_replications,
-                    detail={"method": "importance", "boost": boost},
-                )
-            )
-        with profile_span(profiler, "simulate"):
-            estimate = estimator.estimate(times_list, n_replications, factory)
-        if events is not None:
-            emit(RunFinished(outcome="ok", units=n_replications))
-        return estimate
-
+    # lend the bus to a caller's runner for this run so its chunk
+    # events land in the caller's ledger
+    lent_bus = not own_runner and events is not None and runner.events is None
+    if lent_bus:
+        runner.events = events
+    try:
+        result = runner.run(task, seed=seed, **budget)
+    finally:
+        if lent_bus:
+            runner.events = None
+        if own_runner:
+            runner.close()
+    metrics = result.telemetry.activity_metrics
+    if not own_runner and recorder is not None and metrics is not None:
+        recorder.absorb(metrics)
+    if not result.converged:
+        label += "-unconverged"
+    n_samples = result.n_replications
     if method == "splitting":
-        levels = (
-            list(splitting_levels)
-            if splitting_levels is not None
-            else [1.0, 2.0, 3.0, 1000.0]
-        )
-        with profile_span(profiler, "compile"):
-            splitter = FixedEffortSplitting(
-                ahs.model,
-                ahs.severity_level(),
-                levels,
-                trials_per_stage=trials_per_stage,
-                engine=engine,
-                observer=observer,
-            )
-        if events is not None:
-            emit(
-                RunStarted(
-                    kind="serial",
-                    workers=1,
-                    unit="replications",
-                    engine=engine,
-                    total=repetitions * trials_per_stage,
-                    detail={"method": "splitting"},
-                )
-            )
-        # splitting estimates P(hit by horizon); evaluate per time point
-        values = []
-        halves = []
-        with profile_span(profiler, "simulate"):
-            for t in times_list:
-                outcome = splitter.estimate(t, factory, repetitions=repetitions)
-                values.append(outcome.probability)
-                halves.append(outcome.interval.half_width)
-        if events is not None:
-            emit(RunFinished(outcome="ok", units=repetitions * trials_per_stage))
-        return TransientEstimate(
-            times=np.asarray(times_list),
-            values=np.asarray(values),
-            half_widths=np.asarray(halves),
-            n_samples=repetitions * trials_per_stage,
-            method="splitting",
-        )
-
-    raise ValueError(
-        f"unknown method {method!r}; choose one of {UNSAFETY_METHODS}"
+        n_samples *= trials_per_stage
+    return TransientEstimate(
+        times=np.asarray(times_list),
+        values=result.values,
+        half_widths=result.half_widths,
+        n_samples=n_samples,
+        method=label,
     )
 
 

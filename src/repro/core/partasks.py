@@ -10,7 +10,7 @@ simulator, analytical engine) worker-side, and expose stable
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +55,65 @@ _CONTEXT_CACHE: dict[str, _SimContext] = workerctx.cache()
 _CONTEXT_CACHE_MAX = workerctx.DEFAULT_MAX_ENTRIES
 
 
+def _observation(task) -> tuple:
+    """``(recorder, observer)`` a task's engine is built with.
+
+    A task's in-process ``observer`` is attached as is (it records
+    straight into the caller's recorders); otherwise ``metrics`` gives
+    the chunk its own :class:`~repro.obs.metrics.MetricsRecorder`,
+    whose summary :meth:`metrics_of` ships home.
+    """
+    if task.observer is not None:
+        return None, task.observer
+    if not task.metrics:
+        return None, None
+    from repro.obs import MetricsRecorder, Observation
+
+    recorder = MetricsRecorder(level=task.metrics_level)
+    return recorder, Observation(metrics=recorder)
+
+
+def _build_cached(task):
+    """Worker-side context, memoised per process by cache token.
+
+    Observed and metric-collecting tasks bypass the memo: a memoised
+    engine would keep feeding one run's recorders in later runs, so
+    each chunk needs a fresh one.  Cache hits report ``compile_seconds == 0.0`` — over a
+    multi-round run the profiler's compile span then totals one compile
+    per worker.
+    """
+    if task.metrics or task.observer is not None:
+        return task.build()
+    from repro.runtime.cache import cache_key
+
+    key = cache_key({"kind": "worker-context", "task": task.cache_token()})
+    context = workerctx.get(key)
+    if context is not None:
+        return context._replace(compile_seconds=0.0)
+    context = task.build()
+    workerctx.put(key, context)
+    return context
+
+
+def _metrics_of(context):
+    """A chunk's serialised metric summary (None when disabled)."""
+    if context.recorder is None:
+        return None
+    return context.recorder.summary().to_dict()
+
+
+def _drop_observer(task) -> dict:
+    """Pickle state of a task without its in-process ``observer``.
+
+    Observers belong to the caller's process (their recorders are live
+    objects), so forensic bundles and pool submissions carry the task
+    alone; an unpickled task has ``observer=None``.
+    """
+    state = dict(task.__dict__)
+    state["observer"] = None
+    return state
+
+
 @dataclass(frozen=True)
 class UnsafetySimulationTask:
     """Crude Monte-Carlo estimation of S(t) on the composed SAN.
@@ -78,6 +137,12 @@ class UnsafetySimulationTask:
     so the pooled metrics are identical for any worker count.  The flag
     joins the cache token only when enabled, keeping existing metric-less
     cache entries valid.
+
+    ``observer`` attaches an observability hook (typically
+    :class:`repro.obs.Observation`) to the engine itself, for in-process
+    runs only: traces and metrics then land in the caller's recorders
+    exactly as on an engine built by hand.  It is left out of the cache
+    token, equality, hashing and pickles (a worker never sees it).
     """
 
     params: AHSParameters
@@ -86,6 +151,9 @@ class UnsafetySimulationTask:
     metrics: bool = False
     metrics_level: str = "full"
     batch_size: int = 256
+    observer: object = field(default=None, compare=False, repr=False)
+
+    __getstate__ = _drop_observer
 
     def __post_init__(self) -> None:
         if not self.times:
@@ -108,15 +176,10 @@ class UnsafetySimulationTask:
 
         started = time.perf_counter()
         ahs = build_composed_model(self.params)
-        recorder = None
-        observer = None
-        if self.metrics:
-            from repro.obs import MetricsRecorder, Observation
-
-            recorder = MetricsRecorder(level=self.metrics_level)
-            observer = Observation(metrics=recorder)
+        recorder, observer = _observation(self)
         simulator = make_jump_engine(
             ahs.model,
+            bias=self.bias_plan(ahs.model),
             engine=self.engine,
             observer=observer,
             batch_size=self.batch_size,
@@ -131,25 +194,13 @@ class UnsafetySimulationTask:
             scratch_mask=np.empty(len(self.times), dtype=bool),
         )
 
+    def bias_plan(self, model):
+        """Per-activity rate multipliers for the engine (None: crude MC)."""
+        return None
+
     def build_cached(self) -> _SimContext:
-        """Worker-side context, memoised per process by cache token.
-
-        Metric-collecting tasks bypass the memo: their recorder
-        accumulates across runs, so each chunk needs a fresh one.  Cache
-        hits report ``compile_seconds == 0.0`` — over a multi-round run
-        the profiler's compile span then totals one compile per worker.
-        """
-        if self.metrics:
-            return self.build()
-        from repro.runtime.cache import cache_key
-
-        key = cache_key({"kind": "worker-context", "task": self.cache_token()})
-        context = workerctx.get(key)
-        if context is not None:
-            return context._replace(compile_seconds=0.0)
-        context = self.build()
-        workerctx.put(key, context)
-        return context
+        """Worker-side context, memoised per process (see :func:`_build_cached`)."""
+        return _build_cached(self)
 
     def sample(self, context: _SimContext, stream) -> np.ndarray:
         """One replication: weighted unsafe indicator at each time point."""
@@ -254,9 +305,7 @@ class UnsafetySimulationTask:
 
     def metrics_of(self, context: _SimContext):
         """This chunk's serialised metric summary (None when disabled)."""
-        if context.recorder is None:
-            return None
-        return context.recorder.summary().to_dict()
+        return _metrics_of(context)
 
     def cache_token(self) -> dict:
         # batch_size is deliberately absent: the stepped engine is
@@ -293,40 +342,14 @@ class ImportanceSimulationTask(UnsafetySimulationTask):
         if not (self.boost > 0):
             raise ValueError(f"boost must be > 0, got {self.boost}")
 
-    def build(self) -> _SimContext:
-        from repro.core.composed import build_composed_model
+    def bias_plan(self, model):
+        """Every ``L_FM*`` timed activity boosted by ``boost``."""
         from repro.rare.importance import FailureBiasing
-        from repro.san.compiled import make_jump_engine
 
-        started = time.perf_counter()
-        ahs = build_composed_model(self.params)
-        biasing = FailureBiasing(
+        return FailureBiasing(
             boost=self.boost,
             name_predicate=lambda name: name.startswith("L_FM"),
-        )
-        recorder = None
-        observer = None
-        if self.metrics:
-            from repro.obs import MetricsRecorder, Observation
-
-            recorder = MetricsRecorder(level=self.metrics_level)
-            observer = Observation(metrics=recorder)
-        simulator = make_jump_engine(
-            ahs.model,
-            bias=biasing.plan_for(ahs.model),
-            engine=self.engine,
-            observer=observer,
-            batch_size=self.batch_size,
-        )
-        return _SimContext(
-            simulator=simulator,
-            predicate=ahs.unsafe_predicate(),
-            times=np.asarray(self.times, dtype=float),
-            horizon=float(max(self.times)),
-            recorder=recorder,
-            compile_seconds=time.perf_counter() - started,
-            scratch_mask=np.empty(len(self.times), dtype=bool),
-        )
+        ).plan_for(model)
 
     def cache_token(self) -> dict:
         token = super().cache_token()
@@ -341,6 +364,7 @@ class _SplitContext(NamedTuple):
     splitter: object
     times: np.ndarray
     compile_seconds: float = 0.0
+    recorder: object = None
 
 
 @dataclass(frozen=True)
@@ -353,6 +377,9 @@ class SplittingReplicationTask:
     trajectories per time point — the orchestrator schedules these in
     much smaller chunks than crude Monte-Carlo.  Per-repetition product
     estimates are i.i.d., so the chunk-summary pooling applies unchanged.
+
+    ``metrics``/``metrics_level`` and the in-process ``observer`` work as
+    on :class:`UnsafetySimulationTask`.
     """
 
     params: AHSParameters
@@ -360,6 +387,11 @@ class SplittingReplicationTask:
     levels: tuple[float, ...] = (1.0, 2.0, 3.0, 1000.0)
     trials_per_stage: int = 100
     engine: str = "compiled"
+    metrics: bool = False
+    metrics_level: str = "full"
+    observer: object = field(default=None, compare=False, repr=False)
+
+    __getstate__ = _drop_observer
 
     def __post_init__(self) -> None:
         if not self.times:
@@ -381,29 +413,25 @@ class SplittingReplicationTask:
 
         started = time.perf_counter()
         ahs = build_composed_model(self.params)
+        recorder, observer = _observation(self)
         splitter = FixedEffortSplitting(
             ahs.model,
             ahs.severity_level(),
             list(self.levels),
             trials_per_stage=self.trials_per_stage,
             engine=self.engine,
+            observer=observer,
         )
         return _SplitContext(
             splitter=splitter,
             times=np.asarray(self.times, dtype=float),
             compile_seconds=time.perf_counter() - started,
+            recorder=recorder,
         )
 
     def build_cached(self) -> _SplitContext:
-        from repro.runtime.cache import cache_key
-
-        key = cache_key({"kind": "worker-context", "task": self.cache_token()})
-        context = workerctx.get(key)
-        if context is not None:
-            return context._replace(compile_seconds=0.0)
-        context = self.build()
-        workerctx.put(key, context)
-        return context
+        """Worker-side context, memoised per process (see :func:`_build_cached`)."""
+        return _build_cached(self)
 
     def sample(self, context: _SplitContext, stream) -> np.ndarray:
         """One splitting repetition per time point, on a single stream."""
@@ -419,8 +447,12 @@ class SplittingReplicationTask:
         """Timed firings executed so far (worker telemetry)."""
         return int(context.splitter.simulator.fired_events)
 
+    def metrics_of(self, context: _SplitContext):
+        """This chunk's serialised metric summary (None when disabled)."""
+        return _metrics_of(context)
+
     def cache_token(self) -> dict:
-        return {
+        token = {
             "measure": "unsafety",
             "engine": "splitting",
             "simulator": self.engine,
@@ -429,6 +461,9 @@ class SplittingReplicationTask:
             "levels": self.levels,
             "trials_per_stage": self.trials_per_stage,
         }
+        if self.metrics:
+            token["metrics"] = self.metrics_level
+        return token
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,10 @@ class Observation:
     metrics:
         Optional :class:`MetricsRecorder` for mergeable summaries.
     profiler:
-        Optional :class:`PhaseProfiler`.  Not engine-facing — drivers
-        (:func:`repro.core.measures.unsafety`,
-        :class:`repro.runtime.ParallelRunner`) pick it up for their
-        phase spans.
+        Optional :class:`PhaseProfiler`.  Not engine-facing — the
+        driver (:class:`repro.runtime.ParallelRunner`, which
+        :func:`repro.core.measures.unsafety` hands it) picks it up for
+        its phase spans.
     classifier:
         ``marking → situation-name`` callable applied on absorption;
         defaults to :func:`~repro.obs.metrics.severity_classifier`

@@ -79,10 +79,11 @@ class RunStarted(_Event):
     """A run began: what is being estimated and with what resources.
 
     ``kind`` distinguishes the feeding driver: ``"run"`` (ParallelRunner
-    Monte-Carlo), ``"map"`` (sweep map), ``"orchestrate"`` (adaptive
-    round loop), ``"serial"`` (in-process :func:`repro.core.measures.
-    unsafety`).  ``total`` is the planned unit count when known up front
-    (fixed budgets); rule-driven runs carry ``max_total`` instead.
+    Monte-Carlo, which :func:`repro.core.measures.unsafety` uses for
+    every simulation method), ``"map"`` (sweep map), ``"orchestrate"``
+    (adaptive round loop).  ``total`` is the planned unit count when
+    known up front (fixed budgets); rule-driven runs carry ``max_total``
+    instead.
     """
 
     kind: str

@@ -12,11 +12,7 @@ from repro.stats.confidence import (
     relative_precision_reached,
 )
 from repro.stats.batch import batch_means, BatchMeansResult
-from repro.stats.estimators import (
-    ReplicationEstimator,
-    SequentialStoppingRule,
-    weighted_mean_and_ci,
-)
+from repro.stats.estimators import SequentialStoppingRule
 
 __all__ = [
     "ConfidenceInterval",
@@ -24,7 +20,5 @@ __all__ = [
     "relative_precision_reached",
     "batch_means",
     "BatchMeansResult",
-    "ReplicationEstimator",
     "SequentialStoppingRule",
-    "weighted_mean_and_ci",
 ]

@@ -1,27 +1,20 @@
-"""Replication-based estimation with sequential stopping.
+"""The sequential stopping rule of replication-based estimation.
 
 The paper estimates each point "as a mean of at least 10000 simulation
 batches, converging within 95% probability in a 0.1 relative interval".
-:class:`ReplicationEstimator` reproduces exactly that protocol: run
-replications in rounds, stop when the relative-precision criterion holds
-(or a replication budget is exhausted).
+:class:`SequentialStoppingRule` states that protocol;
+:meth:`repro.runtime.ParallelRunner.run` applies it: run replications in
+rounds, stop when the relative-precision criterion holds (or a
+replication budget is exhausted).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
-import numpy as np
+from repro.stats.confidence import ConfidenceInterval, relative_precision_reached
 
-from repro.stats.confidence import (
-    ConfidenceInterval,
-    normal_ci,
-    relative_precision_reached,
-)
-
-__all__ = ["ReplicationEstimator", "SequentialStoppingRule", "weighted_mean_and_ci"]
+__all__ = ["SequentialStoppingRule"]
 
 
 @dataclass
@@ -56,73 +49,3 @@ class SequentialStoppingRule:
         if interval.n < self.min_replications:
             return False
         return relative_precision_reached(interval, self.relative_width)
-
-
-@dataclass
-class ReplicationEstimator:
-    """Sequential mean estimation over replications of a sample function.
-
-    Parameters
-    ----------
-    sample_fn:
-        Called with the replication index; returns one observation (or an
-        array of simultaneous observations, e.g. the indicator at several
-        time points — the rule is then applied to the *least converged*
-        coordinate with a non-zero mean).
-    rule:
-        The stopping rule.
-    round_size:
-        Replications added between convergence checks.
-    """
-
-    sample_fn: Callable[[int], float | np.ndarray]
-    rule: SequentialStoppingRule = field(default_factory=SequentialStoppingRule)
-    round_size: int = 1_000
-
-    def estimate(self) -> tuple[np.ndarray, np.ndarray, int, bool]:
-        """Run replications until the rule is satisfied.
-
-        Returns
-        -------
-        (means, half_widths, n_replications, converged)
-        """
-        samples: list[np.ndarray] = []
-        index = 0
-        converged = False
-        while index < self.rule.max_replications:
-            target = min(index + self.round_size, self.rule.max_replications)
-            while index < target:
-                samples.append(np.atleast_1d(np.asarray(self.sample_fn(index), float)))
-                index += 1
-            stacked = np.vstack(samples)
-            intervals = [
-                normal_ci(stacked[:, j], self.rule.confidence)
-                for j in range(stacked.shape[1])
-            ]
-            informative = [iv for iv in intervals if iv.mean > 0]
-            if informative and all(self.rule.satisfied(iv) for iv in informative):
-                converged = True
-                break
-        stacked = np.vstack(samples)
-        means = stacked.mean(axis=0)
-        halves = np.array(
-            [
-                normal_ci(stacked[:, j], self.rule.confidence).half_width
-                for j in range(stacked.shape[1])
-            ]
-        )
-        return means, halves, index, converged
-
-
-def weighted_mean_and_ci(
-    values: Sequence[float],
-    weights: Sequence[float],
-    confidence: float = 0.95,
-) -> ConfidenceInterval:
-    """CI for an importance-sampling estimator ``mean(w_i x_i)``.
-
-    The IS estimator is the plain mean of the per-replication products, so
-    the normal-approximation CI applies to those products directly.
-    """
-    products = np.asarray(values, dtype=float) * np.asarray(weights, dtype=float)
-    return normal_ci(products, confidence)

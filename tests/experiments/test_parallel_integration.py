@@ -111,7 +111,7 @@ class TestCliFlags:
         ]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "simulation-parallel" in out
+        assert "method=simulation  params=" in out
         assert "replications/sec=" in out
 
     def test_unsafety_non_simulation_ignores_workers(self, capsys):
@@ -131,7 +131,7 @@ class TestCliFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "--workers applies to method=simulation" in out
+        assert "--workers applies to the simulation methods" in out
 
     def test_workers_flag_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):

@@ -246,7 +246,7 @@ class TestLedgerNeverTouchesTheStream:
         assert self._estimate_bytes(ledgered) == self._estimate_bytes(bare)
         events = read_events(tmp_path / f"{method}.jsonl")
         assert validate_events(events) == []
-        assert events[0]["data"]["kind"] == "serial"
+        assert events[0]["data"]["kind"] == "run"
         assert events[-1]["event"] == "RunFinished"
 
     def test_runner_unsafety_byte_identical(self, tmp_path):

@@ -1,15 +1,9 @@
-"""Tests for batch means and sequential estimation."""
+"""Tests for batch means and the sequential stopping rule."""
 
 import numpy as np
 import pytest
 
-from repro.stats import (
-    ReplicationEstimator,
-    SequentialStoppingRule,
-    batch_means,
-    weighted_mean_and_ci,
-)
-from repro.stochastic import StreamFactory
+from repro.stats import SequentialStoppingRule, batch_means
 
 
 class TestBatchMeans:
@@ -58,60 +52,3 @@ class TestSequentialStoppingRule:
         assert not rule.satisfied(tight_but_few)
         tight_enough = ConfidenceInterval(1.0, 0.001, 0.95, 200)
         assert rule.satisfied(tight_enough)
-
-
-class TestReplicationEstimator:
-    def test_converges_on_easy_problem(self):
-        factory = StreamFactory(8)
-        stream = factory.stream()
-
-        estimator = ReplicationEstimator(
-            sample_fn=lambda i: stream.normal(3.0, 0.5),
-            rule=SequentialStoppingRule(
-                min_replications=200, max_replications=20_000, relative_width=0.05
-            ),
-            round_size=200,
-        )
-        means, halves, n, converged = estimator.estimate()
-        assert converged
-        assert means[0] == pytest.approx(3.0, abs=0.2)
-        assert n <= 20_000
-
-    def test_budget_exhaustion_reported(self):
-        factory = StreamFactory(9)
-        stream = factory.stream()
-        # extremely noisy relative to the mean: cannot converge in budget
-        estimator = ReplicationEstimator(
-            sample_fn=lambda i: stream.normal(0.01, 10.0),
-            rule=SequentialStoppingRule(
-                min_replications=100, max_replications=500, relative_width=0.01
-            ),
-            round_size=100,
-        )
-        means, halves, n, converged = estimator.estimate()
-        assert not converged
-        assert n == 500
-
-    def test_vector_samples(self):
-        factory = StreamFactory(10)
-        stream = factory.stream()
-        estimator = ReplicationEstimator(
-            sample_fn=lambda i: np.array(
-                [stream.normal(1.0, 0.1), stream.normal(2.0, 0.1)]
-            ),
-            rule=SequentialStoppingRule(
-                min_replications=100, max_replications=5000, relative_width=0.1
-            ),
-            round_size=100,
-        )
-        means, halves, n, converged = estimator.estimate()
-        assert means.shape == (2,)
-        assert means[1] == pytest.approx(2.0, abs=0.1)
-
-
-class TestWeightedMeanCI:
-    def test_matches_direct_products(self):
-        values = [1.0, 0.0, 1.0, 1.0]
-        weights = [0.5, 1.0, 0.1, 0.2]
-        interval = weighted_mean_and_ci(values, weights)
-        assert interval.mean == pytest.approx(np.mean([0.5, 0.0, 0.1, 0.2]))
